@@ -594,16 +594,24 @@ let run_flat ?(config = default_config) ?trace (fp : 'out Fastpath.t) c =
         and e_word = em.Fastpath.e_word in
         for k = 0 to em.Fastpath.e_len - 1 do
           let dst = Array.unsafe_get e_dst k in
+          (* A violation escapes mid-round: observe the edge totals
+             recorded so far first, so a [Light] prefix reads the same
+             [max_bits_per_edge_round] a [Full] one re-derives. *)
           if
             dst < 0 || dst >= n
             || Array.unsafe_get book (2 * dst) <> !token
-          then raise (Illegal_recipient { round = !round; src = v; dst });
+          then begin
+            Trace.observe_edge_total trace !edge_obs;
+            raise (Illegal_recipient { round = !round; src = v; dst })
+          end;
           let bits = Array.unsafe_get e_bits k in
           let total = Array.unsafe_get book ((2 * dst) + 1) + bits in
-          if total > limit then
+          if total > limit then begin
+            Trace.observe_edge_total trace !edge_obs;
             raise
               (Bandwidth_exceeded
-                 { round = !round; src = v; dst; bits = total; limit });
+                 { round = !round; src = v; dst; bits = total; limit })
+          end;
           Array.unsafe_set book ((2 * dst) + 1) total;
           if total > !edge_obs then edge_obs := total;
           Trace.record_send trace ~round:!round ~src:v ~dst ~bits;
@@ -952,6 +960,9 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
     if sf < jobs then begin
       let rnd = !round in
       for s = 0 to sf do
+        (* Shard [s]'s running maximum covers exactly the sends it staged
+           — all of them below [sf], the failing shard's prefix at [sf]. *)
+        Trace.observe_edge_total trace sh_edge_obs.(s * shard_pad);
         let st = sh_stage.(s) in
         for i = 0 to sh_len.(s * shard_pad) - 1 do
           let b = 5 * i in
@@ -974,6 +985,9 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
   let all_halted_now () =
     if !halted_sum < 0 then seq_all_halted () else !halted_sum = n
   in
+  (* Largest per-(round, edge) total over the completed rounds: a torn
+     round adds only what its replayed prefix recorded. *)
+  let edge_obs = ref 0 in
   while !round < config.max_rounds && not (all_halted_now ()) do
     (match Exec.Pool.run_range pool ~lo:0 ~hi:n f_stage with
     | () -> ()
@@ -985,6 +999,7 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
                quarantines the kill through the same path. *)
             ()
         | _ -> replay_violation_prefix ());
+        Trace.observe_edge_total trace !edge_obs;
         Printexc.raise_with_backtrace e bt);
     (* Sequential merge on the calling domain, ascending shard = source
        order: the trace sees the identical event sequence the
@@ -1030,7 +1045,9 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
     for s = 0 to jobs - 1 do
       sent := !sent + sh_len.(s * shard_pad);
       sent_bits := !sent_bits + sh_round_bits.(s * shard_pad);
-      halted := !halted + sh_halted.(s * shard_pad)
+      halted := !halted + sh_halted.(s * shard_pad);
+      if sh_edge_obs.(s * shard_pad) > !edge_obs then
+        edge_obs := sh_edge_obs.(s * shard_pad)
     done;
     halted_sum := !halted;
     (* Two-pass prefix-sum merge with an O(jobs) sequential seam. *)
@@ -1049,11 +1066,6 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
     incr round
   done;
   Trace.set_rounds trace !round;
-  let edge_obs = ref 0 in
-  for s = 0 to jobs - 1 do
-    if sh_edge_obs.(s * shard_pad) > !edge_obs then
-      edge_obs := sh_edge_obs.(s * shard_pad)
-  done;
   Trace.observe_edge_total trace !edge_obs;
   Obs.Metrics.add mx.m_rounds !round;
   Obs.Metrics.add mx.m_messages !sent;

@@ -43,18 +43,22 @@ let meter_blackboard ~algo ~(report_bits : int) ~writes ~per_player ~per_round =
   in
   Array.iter (fun bits -> Obs.Metrics.observe h (float_of_int bits)) per_round
 
+(* Every report field is an O(1) read of the trace's streamed
+   accumulators: each entry point registers the player cut when it
+   creates the trace, so the cut queries below never fold a send log. *)
 let report_of ~config ~algo (inst : Family.instance)
     (result : _ Runtime.result) =
+  let part = inst.Family.partition in
   let n = Wgraph.Graph.n inst.Family.graph in
   let cut_size = Family.cut_size inst in
   let bandwidth = Runtime.bandwidth_bits config ~n in
   let trace = result.Runtime.trace in
-  let blackboard_bits = Trace.cut_bits trace inst.Family.partition in
+  let blackboard_bits = Trace.cut_bits trace part in
+  let blackboard_writes = Trace.cut_messages trace part in
   let rounds = result.Runtime.rounds_executed in
-  meter_blackboard ~algo ~report_bits:blackboard_bits
-    ~writes:(Trace.cut_messages trace inst.Family.partition)
-    ~per_player:(Trace.cut_bits_by_side trace inst.Family.partition)
-    ~per_round:(Trace.cut_bits_by_round trace inst.Family.partition);
+  meter_blackboard ~algo ~report_bits:blackboard_bits ~writes:blackboard_writes
+    ~per_player:(Trace.cut_bits_by_side trace part)
+    ~per_round:(Trace.cut_bits_by_round trace part);
   (* Directed cut capacity: each undirected cut edge carries up to B bits in
      each direction per round, matching the proof's O(T·|cut|·log n) with
      the constant made explicit.  The cap bounds ATTEMPTED traffic — what
@@ -68,26 +72,29 @@ let report_of ~config ~algo (inst : Family.instance)
     cut_size;
     bandwidth;
     blackboard_bits;
-    blackboard_writes = Trace.cut_messages trace inst.Family.partition;
-    blackboard_bits_dropped = Trace.cut_bits_dropped trace inst.Family.partition;
-    blackboard_bits_delivered =
-      Trace.cut_bits_delivered trace inst.Family.partition;
+    blackboard_writes;
+    blackboard_bits_dropped = Trace.cut_bits_dropped trace part;
+    blackboard_bits_delivered = Trace.cut_bits_delivered trace part;
     bound_bits;
     within_bound = blackboard_bits <= bound_bits;
     total_bits = Trace.total_bits trace;
     faults_injected = Trace.total_faults trace;
   }
 
+(* [simulate] hands its result to the caller, who may still query the
+   send log, so its trace stays [Full]; the registered cut only spares
+   [report_of] the folds. *)
 let simulate ?(config = Runtime.default_config) program (inst : Family.instance) =
-  let result = Runtime.run ~config program inst.Family.graph in
+  let trace = Trace.create ~cut:inst.Family.partition () in
+  let result = Runtime.run ~config ~trace program inst.Family.graph in
   (result, report_of ~config ~algo:program.Congest.Program.name inst result)
 
 let simulate_checked ?(config = Runtime.default_config) program
     (inst : Family.instance) =
-  match Runtime.run_checked ~config program inst.Family.graph with
-  | Ok result ->
-      Ok (result, report_of ~config ~algo:program.Congest.Program.name inst result)
-  | Error failure -> Error failure
+  let trace = Trace.create ~cut:inst.Family.partition () in
+  Runtime.run_checked ~config ~trace program inst.Family.graph
+  |> Result.map (fun result ->
+         (result, report_of ~config ~algo:program.Congest.Program.name inst result))
 
 type engine = List_mode | Flat | Flat_par of Exec.Pool.t
 
@@ -113,37 +120,32 @@ let decide_disjointness_checked ?(config = Runtime.default_config)
     ?(engine = List_mode) (inst : Family.instance) ~predicate =
   let g = inst.Family.graph in
   let m = Wgraph.Graph.edge_count g in
-  (* The flat engines run the CSR twin of the instance graph under the
-     flat gather port; report aggregates (rounds, cut bits, outputs) are
-     engine-independent, which test/test_cli.ml pins via stdout parity. *)
-  let run_engine () =
+  (* The decision never exposes its trace, so the run streams into a
+     [Light] one with the player cut registered: no send log, O(rounds +
+     sides) memory.  The flat engines run the CSR twin of the instance
+     graph under the flat gather port; report aggregates (rounds, cut
+     bits, outputs) are engine-independent, which test/test_cli.ml pins
+     via stdout parity. *)
+  let trace = Trace.create ~mode:Trace.Light ~cut:inst.Family.partition () in
+  let algo, checked =
     match engine with
     | List_mode ->
         let program = Congest.Algo_gather.exact_maxis ~m in
-        (match Runtime.run_checked ~config program g with
-        | Ok result ->
-            Ok
-              ( result,
-                report_of ~config ~algo:program.Congest.Program.name inst
-                  result )
-        | Error failure -> Error failure)
-    | Flat | Flat_par _ -> (
+        ( program.Congest.Program.name,
+          Runtime.run_checked ~config ~trace program g )
+    | Flat | Flat_par _ ->
         let fp = Congest.Algo_gather.exact_maxis_flat ~m in
         let c = Wgraph.Csr.of_graph g in
-        let checked =
+        ( fp.Congest.Fastpath.fname,
           match engine with
-          | Flat_par pool -> Runtime.run_flat_par_checked ~config ~pool fp c
-          | _ -> Runtime.run_flat_checked ~config fp c
-        in
-        match checked with
-        | Ok result ->
-            Ok
-              (result, report_of ~config ~algo:fp.Congest.Fastpath.fname inst result)
-        | Error failure -> Error failure)
+          | Flat_par pool ->
+              Runtime.run_flat_par_checked ~config ~trace ~pool fp c
+          | _ -> Runtime.run_flat_checked ~config ~trace fp c )
   in
-  match run_engine () with
+  match checked with
   | Error failure -> Error (Runtime_failure failure)
-  | Ok (result, report) -> (
+  | Ok result -> (
+      let report = report_of ~config ~algo inst result in
       match result.Runtime.outputs.(0) with
       | None -> Error (Incomplete { rounds = result.Runtime.rounds_executed })
       | Some opt ->

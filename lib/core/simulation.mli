@@ -16,7 +16,17 @@
     [decide_disjointness] completes the reduction end to end: it runs the
     universal exact-MaxIS algorithm ({!Congest.Algo_gather}), classifies
     OPT with the gap predicate, and returns the promise-pairwise-
-    disjointness answer, together with the full bit accounting. *)
+    disjointness answer, together with the full bit accounting.
+
+    {b Streamed metering.}  Every entry point registers the player
+    partition as the trace's cut when it creates the trace
+    ({!Congest.Trace.create}[ ~cut]), so each {!report} field is an O(1)
+    read of the trace's streamed accumulators — no fold over a send log.
+    {!simulate} and {!simulate_checked} return their trace, so it stays
+    [Full] and answers every log query ([send_events], [bits_on_edge],
+    [digest]) with the values a default trace gives.  The decide path
+    never exposes its trace, so it runs on a [Light] one: O(rounds +
+    players) trace memory at any message volume. *)
 
 type report = {
   algorithm : string;
@@ -43,6 +53,7 @@ val simulate :
   Family.instance ->
   'out Congest.Runtime.result * report
 (** Run any program on the instance's graph and meter the cut traffic.
+    The result's trace is [Full] with the player cut registered.
     Raises as {!Congest.Runtime.run} on model violations. *)
 
 val simulate_checked :
@@ -76,7 +87,10 @@ type decision = {
 type error =
   | Runtime_failure of Congest.Runtime.failure
       (** the algorithm violated the model (oversend / non-neighbor /
-          broadcast mismatch) *)
+          broadcast mismatch).  The decide path meters on a [Light]
+          trace, so [trace_prefix] is [Light] too: its aggregates and
+          cut queries work, its log-shaped queries ([send_events],
+          [bits_on_edge], [iter_sends]) raise [Invalid_argument]. *)
   | Incomplete of { rounds : int }
       (** gathering did not finish within [max_rounds] *)
 

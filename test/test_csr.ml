@@ -355,6 +355,105 @@ let test_flat_rejects () =
   with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Model violations on the flat executors: every engine and width
+   reports the same failure with the same trace prefix, and a Light
+   prefix agrees with the Full one on every streamed aggregate. *)
+
+(* Two rounds of 1-bit traffic on every edge; then, in round 2, node
+   [bad] sends [limit - 1] bits to its first neighbor and breaks the
+   model.  Nodes below [bad] send 2 bits; nodes above send a full
+   [limit]-bit message, which no prefix may count — sequential execution
+   never reached them. *)
+let bad = 3
+
+let violator violation =
+  let open Congest.Fastpath in
+  {
+    fname = "violator";
+    fspawn =
+      (fun view ->
+        let id = view.Congest.Program.id and n = view.Congest.Program.n in
+        let nbrs = view.Congest.Program.neighbors in
+        let limit = Congest.Runtime.(bandwidth_bits default_config ~n) in
+        let send em dst bits = emit em ~dst ~tag:tag_int ~bits ~word:0 in
+        {
+          fstep =
+            (fun ~round ~inbox:_ em ->
+              if round < 2 then Array.iter (fun u -> send em u 1) nbrs
+              else if id < bad then send em nbrs.(0) 2
+              else if id > bad then send em nbrs.(0) limit
+              else begin
+                send em nbrs.(0) (limit - 1);
+                match violation with
+                | `Oversend -> send em nbrs.(0) 2
+                | `Non_neighbor -> send em ((id + (n / 2)) mod n) 1
+              end);
+          fhalted = (fun () -> false);
+          foutput = (fun () -> None);
+        });
+  }
+
+let test_flat_violation violation () =
+  let c = Csr.of_graph (Build.cycle 8) in
+  let limit = Congest.Runtime.(bandwidth_bits default_config ~n:8) in
+  let fp = violator violation in
+  let failure_of = function
+    | Ok _ -> Alcotest.fail "violation not reported"
+    | Error f -> f
+  in
+  let runs mode =
+    let trace () = Congest.Trace.create ~mode () in
+    ( "run_flat",
+      failure_of (Congest.Runtime.run_flat_checked ~trace:(trace ()) fp c) )
+    :: List.filter_map
+         (fun pool ->
+           let jobs = Exec.Pool.jobs pool in
+           if jobs > 3 then None
+           else
+             Some
+               ( Printf.sprintf "run_flat_par jobs=%d" jobs,
+                 failure_of
+                   (Congest.Runtime.run_flat_par_checked ~trace:(trace ())
+                      ~pool fp c) ))
+         (Lazy.force par_pools)
+  in
+  let full = runs Congest.Trace.Full and light = runs Congest.Trace.Light in
+  let reference = snd (List.hd full) in
+  let open Congest.Runtime in
+  check_int "round" 2 reference.round;
+  check_int "src" bad reference.src;
+  check "reason" true
+    (reference.reason
+    =
+    match violation with
+    | `Oversend -> Oversend { dst = 2; bits = limit + 1; limit }
+    | `Non_neighbor -> Non_neighbor { dst = bad + 4 });
+  let module T = Congest.Trace in
+  let ref_tr = reference.trace_prefix in
+  check_int "prefix edge max" (limit - 1) (T.max_bits_per_edge_round ref_tr);
+  List.iter2
+    (fun (name, f) (_, lf) ->
+      check (name ^ " failure") true
+        (f.round = reference.round && f.src = reference.src
+        && f.reason = reference.reason
+        && lf.round = reference.round && lf.src = reference.src
+        && lf.reason = reference.reason);
+      check (name ^ " Full digest") true
+        (T.digest f.trace_prefix = T.digest ref_tr);
+      let summary t =
+        [
+          T.total_messages t;
+          T.total_bits t;
+          T.rounds t;
+          T.max_bits_per_edge_round t;
+        ]
+      in
+      Alcotest.(check (list int))
+        (name ^ " Light prefix = Full prefix")
+        (summary ref_tr) (summary lf.trace_prefix))
+    full light
+
+(* ------------------------------------------------------------------ *)
 (* Gadget construction parity *)
 
 let test_linear_csr_matches () =
@@ -451,6 +550,10 @@ let () =
         [
           Alcotest.test_case "run_flat rejects" `Quick test_flat_rejects;
           Alcotest.test_case "run_flat_par rejects" `Quick test_par_rejects;
+          Alcotest.test_case "oversend prefix" `Quick
+            (test_flat_violation `Oversend);
+          Alcotest.test_case "non-neighbor prefix" `Quick
+            (test_flat_violation `Non_neighbor);
         ] );
       ( "gadgets",
         [

@@ -15,6 +15,7 @@ let check_int = Alcotest.(check int)
 
 let p2 = P.make ~alpha:1 ~ell:4 ~players:2
 let p3 = P.make ~alpha:1 ~ell:4 ~players:3
+let p3_small = P.make ~alpha:1 ~ell:3 ~players:3
 
 let instance seed p ~intersecting =
   let rng = Prng.create seed in
@@ -98,6 +99,178 @@ let test_decide_raises_when_truncated () =
          (Simulation.decide_disjointness ~config inst ~predicate:(LF.predicate p2));
        false
      with Invalid_argument _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* Streamed metering: every report field read from the registered-cut
+   accumulators equals the value folded from a Full, unregistered trace
+   of the same run, on every engine. *)
+
+module Trace = Congest.Trace
+
+(* The report as the historical [report_of] computed it: folded over the
+   send/fault log of a trace that knows nothing of the partition. *)
+let folded_report ~config ~algo (inst : Family.instance)
+    (result : _ Runtime.result) =
+  let tr = result.Runtime.trace in
+  check "reference trace is Full" true (Trace.mode tr = Trace.Full);
+  check "reference trace has no cut" true (Trace.registered_cut tr = None);
+  let part = inst.Family.partition in
+  let n = Wgraph.Graph.n inst.Family.graph in
+  let rounds = result.Runtime.rounds_executed in
+  let cut_size = Family.cut_size inst in
+  let bandwidth = Runtime.bandwidth_bits config ~n in
+  let bits = Trace.cut_bits tr part in
+  let bound_bits = rounds * 2 * cut_size * bandwidth in
+  {
+    Simulation.algorithm = algo;
+    n;
+    rounds;
+    cut_size;
+    bandwidth;
+    blackboard_bits = bits;
+    blackboard_writes = Trace.cut_messages tr part;
+    blackboard_bits_dropped = Trace.cut_bits_dropped tr part;
+    blackboard_bits_delivered = Trace.cut_bits_delivered tr part;
+    bound_bits;
+    within_bound = bits <= bound_bits;
+    total_bits = Trace.total_bits tr;
+    faults_injected = Trace.total_faults tr;
+  }
+
+let pp_report ppf (r : Simulation.report) =
+  Format.fprintf ppf
+    "%s n=%d rounds=%d cut=%d B=%d bits=%d writes=%d dropped=%d \
+     delivered=%d bound=%d within=%b total=%d faults=%d"
+    r.Simulation.algorithm r.n r.rounds r.cut_size r.bandwidth
+    r.blackboard_bits r.blackboard_writes r.blackboard_bits_dropped
+    r.blackboard_bits_delivered r.bound_bits r.within_bound r.total_bits
+    r.faults_injected
+
+let report_t = Alcotest.testable pp_report ( = )
+
+let ok = function
+  | Ok x -> x
+  | Error f -> Alcotest.failf "model violation: %a" Runtime.pp_failure f
+
+(* The decision's run, driven through [Runtime.*_checked] with the
+   default trace. *)
+let reference_run ~config engine (inst : Family.instance) :
+    string * int Runtime.result =
+  let g = inst.Family.graph in
+  let m = Wgraph.Graph.edge_count g in
+  match engine with
+  | Simulation.List_mode ->
+      let program = Congest.Algo_gather.exact_maxis ~m in
+      (program.Congest.Program.name, ok (Runtime.run_checked ~config program g))
+  | Simulation.Flat | Simulation.Flat_par _ ->
+      let fp = Congest.Algo_gather.exact_maxis_flat ~m in
+      let c = Wgraph.Csr.of_graph g in
+      ( fp.Congest.Fastpath.fname,
+        ok
+          (match engine with
+          | Simulation.Flat_par pool ->
+              Runtime.run_flat_par_checked ~config ~pool fp c
+          | _ -> Runtime.run_flat_checked ~config fp c) )
+
+(* The report is predicate-independent, and the small instances below
+   sit under the parameters where the families' gaps separate. *)
+let report_only = Maxis_core.Predicate.make ~name:"report only" ~high:1 ~low:0
+
+(* The decision's report, and the per-player bits it meters, equal the
+   values folded from the reference run. *)
+let check_streamed_report ?(config = Runtime.default_config) name engine inst =
+  let algo, plain = reference_run ~config engine inst in
+  let per_player =
+    Trace.cut_bits_by_side plain.Runtime.trace inst.Family.partition
+  in
+  let metered () =
+    Array.mapi
+      (fun p _ ->
+        Obs.Metrics.value
+          (Obs.Metrics.counter
+             ~labels:[ ("algo", algo); ("player", string_of_int p) ]
+             "blackboard_player_bits_total"))
+      per_player
+  in
+  let before = metered () in
+  match
+    Simulation.decide_disjointness_checked ~config ~engine inst
+      ~predicate:report_only
+  with
+  | Error e -> Alcotest.failf "%s: %a" name Simulation.pp_error e
+  | Ok d ->
+      Alcotest.check report_t name
+        (folded_report ~config ~algo inst plain)
+        d.Simulation.report;
+      Alcotest.(check (array int))
+        (name ^ " per-player bits") per_player
+        (Array.map2 ( - ) (metered ()) before);
+      d.Simulation.report
+
+let test_streamed_report_every_engine () =
+  let linear, _ = instance 41 p3_small ~intersecting:true in
+  let pq = P.figure_params ~players:2 in
+  let quadratic =
+    Maxis_core.Quadratic_family.instance pq
+      (Inputs.gen_promise (Prng.create 43)
+         ~k:(Maxis_core.Quadratic_family.string_length pq)
+         ~t:2 ~intersecting:false)
+  in
+  Exec.Pool.with_pool ~jobs:1 (fun pool1 ->
+      Exec.Pool.with_pool ~jobs:2 (fun pool2 ->
+          List.iter
+            (fun (family, inst) ->
+              List.iter
+                (fun (ename, engine) ->
+                  ignore
+                    (check_streamed_report (family ^ " " ^ ename) engine inst))
+                [
+                  ("list", Simulation.List_mode);
+                  ("flat", Simulation.Flat);
+                  ("flat-par jobs=1", Simulation.Flat_par pool1);
+                  ("flat-par jobs=2", Simulation.Flat_par pool2);
+                ])
+            [ ("linear", linear); ("quadratic", quadratic) ]))
+
+let fault_config =
+  let plan =
+    Congest.Faults.plan
+      ~default:(Congest.Faults.link ~drop:0.01 ~duplicate:0.01 ())
+      47
+  in
+  { Runtime.default_config with Runtime.faults = Some plan }
+
+let test_streamed_report_under_faults () =
+  let inst, _ = instance 53 p3_small ~intersecting:false in
+  let r =
+    check_streamed_report ~config:fault_config "list + drop/duplicate"
+      Simulation.List_mode inst
+  in
+  check "faults injected" true (r.Simulation.faults_injected > 0);
+  check "cut bits dropped" true (r.Simulation.blackboard_bits_dropped > 0);
+  check "delivered differs from attempted" true
+    (r.Simulation.blackboard_bits_delivered <> r.Simulation.blackboard_bits)
+
+(* [simulate] returns its trace, so that trace must still answer the
+   log-shaped queries with the values a default trace gives. *)
+let test_simulate_keeps_send_log () =
+  let inst, _ = instance 59 p3 ~intersecting:true in
+  let g = inst.Family.graph in
+  let program = Congest.Algo_luby.mis in
+  let result, report = Simulation.simulate ~config:fault_config program inst in
+  let plain = Runtime.run ~config:fault_config program g in
+  let tr = result.Runtime.trace and plain_tr = plain.Runtime.trace in
+  check "send log" true (Trace.send_events tr = Trace.send_events plain_tr);
+  check "fault log" true (Trace.fault_events tr = Trace.fault_events plain_tr);
+  check "digest" true (Trace.digest tr = Trace.digest plain_tr);
+  let e = (Trace.send_events plain_tr).(0) in
+  check_int "bits on edge"
+    (Trace.bits_on_edge plain_tr ~src:e.Trace.src ~dst:e.Trace.dst)
+    (Trace.bits_on_edge tr ~src:e.Trace.src ~dst:e.Trace.dst);
+  Alcotest.check report_t "report"
+    (folded_report ~config:fault_config ~algo:program.Congest.Program.name
+       inst plain)
+    report
 
 (* ------------------------------------------------------------------ *)
 (* The key asymptotic comparison: blackboard cost vs string length *)
@@ -253,6 +426,15 @@ let () =
           Alcotest.test_case "truncation raises" `Quick test_decide_raises_when_truncated;
           Alcotest.test_case "cost exceeds CC bound" `Quick
             test_blackboard_bits_exceed_cc_bound;
+        ] );
+      ( "streamed-metering",
+        [
+          Alcotest.test_case "report = folded, every engine" `Quick
+            test_streamed_report_every_engine;
+          Alcotest.test_case "report = folded, drop/duplicate plan" `Quick
+            test_streamed_report_under_faults;
+          Alcotest.test_case "simulate keeps the send log" `Quick
+            test_simulate_keeps_send_log;
         ] );
       ( "player-protocol",
         [
