@@ -427,7 +427,7 @@ let () =
           Alcotest.test_case "cost exceeds CC bound" `Quick
             test_blackboard_bits_exceed_cc_bound;
         ] );
-      ( "streamed-metering",
+      ( "streamed-report",
         [
           Alcotest.test_case "report = folded, every engine" `Quick
             test_streamed_report_every_engine;
