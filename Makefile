@@ -39,7 +39,7 @@ soak:
 faults:
 	dune exec bench/main.exe -- FAULTS
 
-# Supervised execution under combined fault plans: chaos test suite +
+# Pooled execution under combined fault plans: chaos test suite +
 # the seeded bench leg (docs/RESILIENCE.md).
 chaos:
 	dune exec test/test_chaos.exe

@@ -1,19 +1,19 @@
-(* Experiment CHAOS: supervised execution under combined fault pressure.
+(* Experiment CHAOS: pooled execution under combined fault pressure.
 
    One mini-sweep of exact MaxIS cells is executed several ways — clean
-   reference, then under simultaneous worker kills + filesystem fault
-   injection, then under budget pressure, then once more against the
-   fsck-repaired cache — and a hardened CONGEST run rides along under an
-   adversarial link plan.  The invariant on every leg: the run
+   reference, then on a pool under filesystem fault injection, then
+   under budget pressure, then once more against the fsck-repaired
+   cache — and a hardened CONGEST run rides along under an adversarial
+   link plan.  The invariant on every leg: the run
    {e terminates} (no hang) with either byte-identical output or a
    certified [lb <= OPT <= ub] degradation.
 
    stdout carries only verdicts that are deterministic by construction
    (pure cell functions; caches and journals are transparent
    accelerators; node budgets are scheduling-independent).  Everything
-   run-dependent — injected fault counts, retries, worker restarts,
-   first-pass fsck counts — goes to stderr, like the cache counter lines
-   of the other legs. *)
+   run-dependent — injected fault counts, retries, journal append
+   failures, first-pass fsck counts — goes to stderr, like the cache
+   counter lines of the other legs. *)
 
 module T = Stdx.Tablefmt
 module Faults = Congest.Faults
@@ -65,21 +65,15 @@ let cell_row i =
   Printf.sprintf "cell %d: n=%d OPT=%d" i (Wgraph.Graph.n g) (Mis.Exact.opt g)
 
 (* One sweep execution: memoized through [cache] when given (faulty or
-   repaired), completion recorded in [journal] when given, and — under
-   chaos — the first execution of mask-selected slots kills its worker
-   domain.  Journal-append failures that survive the retries are
-   counted, never fatal: completion tracking is an accelerator, not a
-   correctness dependency. *)
-let run_sweep pool ?cache ?journal ?kills () =
-  let attempts = Array.init cells (fun _ -> Atomic.make 0) in
+   repaired), completion recorded in [journal] when given.
+   Journal-append failures that survive the retries are counted, never
+   fatal: completion tracking is an accelerator, not a correctness
+   dependency. *)
+let run_sweep pool ?cache ?journal () =
   let journal_failures = Atomic.make 0 in
   let rows =
     Exec.Pool.map pool
       (fun i ->
-        let attempt = Atomic.fetch_and_add attempts.(i) 1 in
-        (match kills with
-        | Some mask when mask.(i) && attempt = 0 -> raise Exec.Pool.Chaos_kill
-        | _ -> ());
         let row =
           match cache with
           | None -> cell_row i
@@ -99,7 +93,7 @@ let run_sweep pool ?cache ?journal ?kills () =
 
 let run () =
   section "CHAOS"
-    "supervised execution: worker kills + FS faults + budget pressure";
+    "pooled execution: FS faults + budget pressure";
   rm_rf chaos_root;
   let table =
     T.create [ T.column ~align:T.Left "check"; T.column ~align:T.Left "result" ]
@@ -110,9 +104,8 @@ let run () =
   let reference = Array.init cells cell_row in
 
   Exec.Pool.with_pool ~jobs:4 (fun pool ->
-      (* Chaos leg: the supervised pool under worker kills, reading and
-         writing cache + journal through a seeded fault-injecting
-         filesystem. *)
+      (* Chaos leg: the pool reading and writing cache + journal through
+         a seeded fault-injecting filesystem. *)
       let plan =
         Exec.Fsio.plan
           ~default:
@@ -122,34 +115,18 @@ let run () =
       in
       let injector = Exec.Fsio.injector plan in
       let fs = Exec.Fsio.chaos injector in
-      let kill_rng = rng_for "chaos-kills" in
-      let kills = Array.init cells (fun _ -> Stdx.Prng.bool kill_rng) in
       let cache = Exec.Cache.create ~fs ~dir:chaos_cache_dir () in
       let journal =
         try
           Some (Exec.Journal.open_ ~fs ~dir:chaos_journal_dir ~run_id:"chaos" ())
         with Exec.Error.Error _ -> None
       in
-      let rows_chaos, jfail = run_sweep pool ~cache ?journal ~kills () in
+      let rows_chaos, jfail = run_sweep pool ~cache ?journal () in
       Option.iter Exec.Journal.close journal;
       verdict "sweep rows identical under chaos"
         (T.cell_bool (rows_chaos = reference));
 
-      (* Poison leg: a slot that kills every executor must terminate the
-         batch as a quarantined Worker_death, never hang or eat the
-         pool. *)
-      let poisoned =
-        match
-          Exec.Pool.map pool
-            (fun i -> if i = 1 then raise Exec.Pool.Chaos_kill else i)
-            [| 0; 1; 2 |]
-        with
-        | _ -> false
-        | exception Exec.Error.Error (Exec.Error.Worker_death _) -> true
-      in
-      verdict "poison task quarantined as Worker_death" (T.cell_bool poisoned);
-
-      (* Budget leg: node-capped solves on the (healed) pool.  Node
+      (* Budget leg: node-capped solves on the same pool.  Node
          budgets are deterministic, so both the containment verdict and
          the exhausted count are stable bytes. *)
       let outcomes =
@@ -229,9 +206,7 @@ let run () =
            (List.map
               (fun (k, n) -> Printf.sprintf "%s=%d" k n)
               (Exec.Fsio.faults_injected injector)));
-      Format.eprintf
-        "[chaos] worker restarts: %d; journal append failures: %d@."
-        (Exec.Pool.restarts pool) jfail;
+      Format.eprintf "[chaos] journal append failures: %d@." jfail;
       Format.eprintf "[chaos] fsck first pass: %a@." Exec.Fsck.pp_report report1);
   T.print ~csv:verdicts_csv table;
   note "all verdicts above are deterministic; fault counts are on stderr.";

@@ -429,10 +429,10 @@ let run () =
   (match daemon with
   | None -> note "external daemon: chaos + drain legs skipped."
   | Some (d, h) ->
-      (* Chaos: worker-killing requests interleaved with solves on one
-         connection.  Every request — poison included — must get a
-         terminal reply, and the killed workers must not take any
-         neighbouring request down with them. *)
+      (* Chaos: always-failing chaos-kill requests interleaved with
+         solves on one connection.  Every request must get a terminal
+         reply, and a failing request must not take any neighbouring
+         request down with it. *)
       let c = Client.connect addr in
       let n_chaos = 12 in
       let rng = rng_for "serve-chaos" in

@@ -18,7 +18,7 @@ let experiments =
     ("FAULTS", "fault injection: hardened delivery vs adversarial links", Exp_faults.run);
     ("PERF", "Bechamel timing benches", Exp_perf.run);
     ("OBS", "metrics + span profile of one pipeline cell", Exp_obs.run);
-    ("CHAOS", "supervised execution under combined fault plans", Exp_chaos.run);
+    ("CHAOS", "pooled execution under combined fault plans", Exp_chaos.run);
     ("SERVE", "solve daemon: capabilities + multi-client load", Exp_serve.run);
     ("NETCHAOS", "serving layer under network chaos", Exp_netchaos.run);
     ("LARGEN", "large-n CSR engine: flood/BFS/Luby + gadget sweep", Exp_largen.run);

@@ -824,8 +824,8 @@ let serve_cmd =
       value & flag
       & info [ "allow-chaos" ]
           ~doc:
-            "Honor $(b,chaos-kill) requests (kill a pool worker \
-             mid-batch).  For the chaos suite only.")
+            "Honor $(b,chaos-kill) requests (a task that always fails \
+             with an error reply).  For the chaos suite only.")
   in
   let max_conns_arg =
     Arg.(

@@ -567,96 +567,98 @@ let run_flat ?(config = default_config) ?trace (fp : 'out Fastpath.t) c =
     done;
     !ok
   in
-  while !round < config.max_rounds && not (all_halted ()) do
-    Array.fill counts 0 (Array.length counts) 0;
-    stage_len := 0;
-    for v = 0 to n - 1 do
-      let inst = instances.(v) in
-      if not (inst.Fastpath.fhalted ()) then begin
-        (* [offs] holds the previous round's windows (all zero before the
-           first round, i.e. empty inboxes); re-aim the shared view since
-           the arena array may have been replaced by growth. *)
-        view.Fastpath.i_buf <- !arena;
-        view.Fastpath.i_off <- Array.unsafe_get offs v;
-        view.Fastpath.i_len <- Array.unsafe_get offs (v + 1) - view.Fastpath.i_off;
-        em.Fastpath.e_len <- 0;
-        inst.Fastpath.fstep ~round:!round ~inbox:view em;
-        if em.Fastpath.e_len > 0 then begin
-          incr token;
-          Csr.iter_neighbors mark c v
-        end;
-        (* Unsafe reads/writes here are in range by construction: [k] is
-           below the emitter's grown length, and [dst] is range-checked
-           before indexing the n-sized bookkeeping arrays. *)
-        let e_dst = em.Fastpath.e_dst
-        and e_tag = em.Fastpath.e_tag
-        and e_bits = em.Fastpath.e_bits
-        and e_word = em.Fastpath.e_word in
-        for k = 0 to em.Fastpath.e_len - 1 do
-          let dst = Array.unsafe_get e_dst k in
-          (* A violation escapes mid-round: observe the edge totals
-             recorded so far first, so a [Light] prefix reads the same
-             [max_bits_per_edge_round] a [Full] one re-derives. *)
-          if
-            dst < 0 || dst >= n
-            || Array.unsafe_get book (2 * dst) <> !token
-          then begin
-            Trace.observe_edge_total trace !edge_obs;
-            raise (Illegal_recipient { round = !round; src = v; dst })
-          end;
-          let bits = Array.unsafe_get e_bits k in
-          let total = Array.unsafe_get book ((2 * dst) + 1) + bits in
-          if total > limit then begin
-            Trace.observe_edge_total trace !edge_obs;
-            raise
-              (Bandwidth_exceeded
-                 { round = !round; src = v; dst; bits = total; limit })
-          end;
-          Array.unsafe_set book ((2 * dst) + 1) total;
-          if total > !edge_obs then edge_obs := total;
-          Trace.record_send trace ~round:!round ~src:v ~dst ~bits;
-          sent := !sent + 1;
-          sent_bits := !sent_bits + bits;
-          let base = 4 * !stage_len in
-          if base = Array.length !stage then
-            stage := Fastpath.grow4 !stage base;
-          let s = !stage in
-          Array.unsafe_set s base dst;
-          Array.unsafe_set s (base + 1) v;
-          Array.unsafe_set s (base + 2) (Array.unsafe_get e_tag k);
-          Array.unsafe_set s (base + 3) (Array.unsafe_get e_word k);
-          incr stage_len;
-          Array.unsafe_set counts dst (Array.unsafe_get counts dst + 1)
-        done
-      end
-    done;
-    (* Counting-sort scatter: prefix-sum the tallies into windows, then
-       group this round's triples by destination.  Staging order is
-       (src asc, emit order), so within each window delivery order is
-       exactly what per-node buffers produced. *)
-    let total = !stage_len in
-    let acc = ref 0 in
-    for v = 0 to n - 1 do
-      offs.(v) <- !acc;
-      cursor.(v) <- !acc;
-      acc := !acc + counts.(v)
-    done;
-    offs.(n) <- !acc;
-    if 3 * total > Array.length !arena then
-      arena := Array.make (max 24 (2 * (3 * total))) 0;
-    let a = !arena and s = !stage in
-    for i = 0 to total - 1 do
-      let q = 4 * i in
-      let dst = Array.unsafe_get s q in
-      let pos = Array.unsafe_get cursor dst in
-      Array.unsafe_set cursor dst (pos + 1);
-      let b = 3 * pos in
-      Array.unsafe_set a b (Array.unsafe_get s (q + 1));
-      Array.unsafe_set a (b + 1) (Array.unsafe_get s (q + 2));
-      Array.unsafe_set a (b + 2) (Array.unsafe_get s (q + 3))
-    done;
-    incr round
-  done;
+  (* Whatever escapes mid-round (a model violation or a program
+     exception) first observes the edge totals recorded so far, so a
+     [Light] prefix reads the [max_bits_per_edge_round] a [Full] one
+     re-derives.  One handler per run, outside the round loop. *)
+  (try
+     while !round < config.max_rounds && not (all_halted ()) do
+       Array.fill counts 0 (Array.length counts) 0;
+       stage_len := 0;
+       for v = 0 to n - 1 do
+         let inst = instances.(v) in
+         if not (inst.Fastpath.fhalted ()) then begin
+           (* [offs] holds the previous round's windows (all zero before the
+              first round, i.e. empty inboxes); re-aim the shared view since
+              the arena array may have been replaced by growth. *)
+           view.Fastpath.i_buf <- !arena;
+           view.Fastpath.i_off <- Array.unsafe_get offs v;
+           view.Fastpath.i_len <-
+             Array.unsafe_get offs (v + 1) - view.Fastpath.i_off;
+           em.Fastpath.e_len <- 0;
+           inst.Fastpath.fstep ~round:!round ~inbox:view em;
+           if em.Fastpath.e_len > 0 then begin
+             incr token;
+             Csr.iter_neighbors mark c v
+           end;
+           (* Unsafe reads/writes here are in range by construction: [k] is
+              below the emitter's grown length, and [dst] is range-checked
+              before indexing the n-sized bookkeeping arrays. *)
+           let e_dst = em.Fastpath.e_dst
+           and e_tag = em.Fastpath.e_tag
+           and e_bits = em.Fastpath.e_bits
+           and e_word = em.Fastpath.e_word in
+           for k = 0 to em.Fastpath.e_len - 1 do
+             let dst = Array.unsafe_get e_dst k in
+             if
+               dst < 0 || dst >= n
+               || Array.unsafe_get book (2 * dst) <> !token
+             then raise (Illegal_recipient { round = !round; src = v; dst });
+             let bits = Array.unsafe_get e_bits k in
+             let total = Array.unsafe_get book ((2 * dst) + 1) + bits in
+             if total > limit then
+               raise
+                 (Bandwidth_exceeded
+                    { round = !round; src = v; dst; bits = total; limit });
+             Array.unsafe_set book ((2 * dst) + 1) total;
+             if total > !edge_obs then edge_obs := total;
+             Trace.record_send trace ~round:!round ~src:v ~dst ~bits;
+             sent := !sent + 1;
+             sent_bits := !sent_bits + bits;
+             let base = 4 * !stage_len in
+             if base = Array.length !stage then
+               stage := Fastpath.grow4 !stage base;
+             let s = !stage in
+             Array.unsafe_set s base dst;
+             Array.unsafe_set s (base + 1) v;
+             Array.unsafe_set s (base + 2) (Array.unsafe_get e_tag k);
+             Array.unsafe_set s (base + 3) (Array.unsafe_get e_word k);
+             incr stage_len;
+             Array.unsafe_set counts dst (Array.unsafe_get counts dst + 1)
+           done
+         end
+       done;
+       (* Counting-sort scatter: prefix-sum the tallies into windows, then
+          group this round's triples by destination.  Staging order is
+          (src asc, emit order), so within each window delivery order is
+          exactly what per-node buffers produced. *)
+       let total = !stage_len in
+       let acc = ref 0 in
+       for v = 0 to n - 1 do
+         offs.(v) <- !acc;
+         cursor.(v) <- !acc;
+         acc := !acc + counts.(v)
+       done;
+       offs.(n) <- !acc;
+       if 3 * total > Array.length !arena then
+         arena := Array.make (max 24 (2 * (3 * total))) 0;
+       let a = !arena and s = !stage in
+       for i = 0 to total - 1 do
+         let q = 4 * i in
+         let dst = Array.unsafe_get s q in
+         let pos = Array.unsafe_get cursor dst in
+         Array.unsafe_set cursor dst (pos + 1);
+         let b = 3 * pos in
+         Array.unsafe_set a b (Array.unsafe_get s (q + 1));
+         Array.unsafe_set a (b + 1) (Array.unsafe_get s (q + 2));
+         Array.unsafe_set a (b + 2) (Array.unsafe_get s (q + 3))
+       done;
+       incr round
+     done
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     Trace.observe_edge_total trace !edge_obs;
+     Printexc.raise_with_backtrace e bt);
   Trace.set_rounds trace !round;
   Trace.observe_edge_total trace !edge_obs;
   Obs.Metrics.add mx.m_rounds !round;
@@ -707,15 +709,13 @@ let run_flat ?(config = default_config) ?trace (fp : 'out Fastpath.t) c =
    absolute write cursors; (4) scatter — each shard copies its staged
    quints into its (disjoint) arena slots.
 
-   Worker deaths are never retried (a chunk mutates node state and PRNG
-   streams in place, so re-running half a chunk would corrupt the run):
-   the round is torn down, no trace is recorded for it, and the same
-   width-independent [Error.Error (Worker_death _)] escapes at every
-   [jobs], including 1.  A model violation (oversend / non-neighbor)
-   replays the trace prefix the sequential executor would have recorded
-   — every staged message of lower shards plus the failing shard's
-   prefix — before re-raising, so [run_flat_par_checked]-style drivers
-   see identical post-mortem traces. *)
+   A chunk is never re-run (it mutates node state and PRNG streams in
+   place).  A model violation (oversend / non-neighbor) or an exception
+   raised by the program itself replays the trace prefix the sequential
+   executor would have recorded — every staged message of lower shards
+   plus the failing shard's prefix — before re-raising, so
+   [run_flat_par_checked]-style drivers see identical post-mortem
+   traces. *)
 
 (* Per-shard hot tallies are spread [shard_pad] ints apart so two
    domains never bump the same cache line. *)
@@ -878,13 +878,11 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
         match alloc_probe with None -> 0.0 | Some _ -> Gc.minor_words ()
       in
       (try stage_body clo chi s
-       with
-      | Exec.Pool.Chaos_kill as e -> raise e
-      | e ->
-          (* Model violation (or a program bug): remember which shard so
-             the caller can replay the sequential trace prefix. *)
-          sh_failed.(shard_pad * s) <- 1;
-          raise e);
+       with e ->
+         (* Model violation (or a program bug): remember which shard so
+            the caller can replay the sequential trace prefix. *)
+         sh_failed.(shard_pad * s) <- 1;
+         raise e);
       match alloc_probe with
       | None -> ()
       | Some p -> p.(s) <- p.(s) +. (Gc.minor_words () -. a0)
@@ -993,12 +991,7 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
     | () -> ()
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        (match e with
-        | Exec.Error.Error (Exec.Error.Worker_death _) ->
-            (* A torn round records no trace at any width: jobs = 1
-               quarantines the kill through the same path. *)
-            ()
-        | _ -> replay_violation_prefix ());
+        replay_violation_prefix ();
         Trace.observe_edge_total trace !edge_obs;
         Printexc.raise_with_backtrace e bt);
     (* Sequential merge on the calling domain, ascending shard = source

@@ -161,13 +161,10 @@ val run_flat_par :
     [runtime_arena_peak_words] / [graph_resident_words] gauges record
     the memory footprint.
 
-    A worker death mid-round ({!Exec.Pool.Chaos_kill}) is never
-    retried — shard bodies mutate node state and PRNG streams in place
-    — so the run raises the same width-independent
-    [Exec.Error.Error (Worker_death _)] at every [jobs] (including 1),
-    with no trace recorded for the torn round.  Model violations raise
-    the same exceptions as {!run_flat}, after replaying the identical
-    trace prefix.
+    A shard is never re-run — shard bodies mutate node state and PRNG
+    streams in place.  Model violations and exceptions raised by the
+    program itself escape exactly as from {!run_flat}, after replaying
+    the identical trace prefix.
 
     [alloc_probe] (a test hook; length ≥ pool width) accumulates, per
     shard, the minor words its stage phase allocates each round — the
@@ -192,6 +189,5 @@ val run_flat_par_checked :
   'out Fastpath.t ->
   Wgraph.Csr.t ->
   ('out result, failure) Stdlib.result
-(** {!run_flat_par} behind the same checked wrapper.  A worker death
-    ([Exec.Error.Error (Worker_death _)]) is an executor fault, not a
-    model violation, and still raises. *)
+(** {!run_flat_par} behind the same checked wrapper.  An exception that
+    is not a model violation still raises. *)

@@ -13,8 +13,8 @@ type kind =
   | Cache_io of string  (** result-cache read/write/rename failure *)
   | Journal_io of string  (** sweep-journal open/append failure *)
   | Worker_death of string
-      (** a pool worker domain died, could not be spawned, or a poison
-          task was quarantined after killing its executors *)
+      (** a pool worker domain could not be spawned (the pool then runs
+          without it) *)
   | Net_io of string
       (** a socket operation failed (accept/connect/read/write on the
           serving layer's wire or scrape sockets, whether kernel-born or
@@ -57,5 +57,4 @@ val set_default_sleep : (float -> unit) -> unit
     [Unix.sleepf] at startup so retry backoff yields the CPU. *)
 
 val default_sleep : float -> unit
-(** The currently-installed process-wide sleep ({!set_default_sleep});
-    also the default watchdog sleep of {!Pool.create}. *)
+(** The currently-installed process-wide sleep ({!set_default_sleep}). *)

@@ -1,134 +1,67 @@
-(* A fixed-size, self-healing pool of worker domains fed by a per-batch
-   atomic task counter.
+(* A fixed-size pool of worker domains fed by a per-batch atomic task
+   counter.
 
    Determinism does not come from scheduling (tasks are claimed
-   first-come-first-served) but from indexing: task [i] publishes only
+   first-come-first-served) but from indexing: task [i] writes only
    slot [i] of the result array, and the caller reassembles slots in
-   input order.  Slot publication is CAS-once ([pub.(i)]: 0 -> 1), so a
-   slot re-enqueued after a worker death and then raced by the
-   not-actually-dead original executor still gets exactly one result.
-   The [Atomic.incr filled] after a winning CAS is the happens-before
-   edge that makes the (nonatomic) slot write visible to whoever later
-   reads [filled = count].
-
-   Supervision model.  OCaml domains cannot be killed from outside, so
-   "supervision" means three things:
-
-   - a worker whose task raises {!Chaos_kill} (the chaos harness's
-     simulated crash) runs a death protocol on the way out: its claimed
-     slot is re-enqueued for survivors, its kill is charged to that
-     slot, and the caller is woken;
-   - the caller itself drains re-enqueued slots (it can always make
-     progress even if every worker is gone), and with [~watchdog_s] it
-     additionally polls worker heartbeats: a worker holding a claim
-     whose heartbeat has not moved within the window is {e condemned} —
-     marked dead for accounting, its slot re-enqueued — and since a
-     wedged domain cannot be interrupted, the domain itself is leaked
-     (never joined) and merely re-checked for a late exit;
-   - a slot whose executions have killed [kill_limit] workers is a
-     {e poison task}: it is quarantined by publishing
-     [Error.Worker_death] as its result instead of re-enqueueing, so a
-     deterministic crasher terminates the batch instead of eating the
-     whole pool.
-
-   Dead workers are replaced between batches (never mid-batch, so a
-   batch's worker array is stable), counted in
-   [pool_worker_restarts_total]. *)
-
-exception Chaos_kill
+   input order.  Every slot is claimed through the counter exactly
+   once, so publication is a plain slot write followed by
+   [Atomic.incr filled]; that increment is the happens-before edge
+   that makes the (nonatomic) slot write visible to whoever later reads
+   [filled = count].  Task bodies never raise: every exception is
+   captured into its slot and re-raised by the caller. *)
 
 type batch = {
   count : int;
   mutable exec : int -> unit;
-      (* compute + publish slot i; may raise Chaos_kill.  Mutable only
-         so the reusable [run_range] batch can be wired up after the
-         record exists; [map] never reassigns it. *)
-  mutable poison : int -> int -> unit;
-      (* publish Worker_death for (slot, kills) *)
-  next : int Atomic.t;  (* next unclaimed primary index *)
-  requeued : int Queue.t;  (* slots orphaned by dead workers; under [m] *)
-  kills : int array;  (* worker deaths charged per slot; under [m] *)
-  retry : bool;
-      (* re-enqueue a killed slot (map semantics)?  [run_range] sets
-         false: its tasks mutate shared state in place, so a partially
-         executed chunk must never run twice — the first kill poisons. *)
+      (* compute + publish slot i; never raises.  Mutable only so the
+         reusable [run_range] batch can be wired up after the record
+         exists; [map] never reassigns it. *)
+  next : int Atomic.t;  (* next unclaimed index *)
 }
 
 type shared = {
   m : Mutex.t;
   ready : Condition.t;  (* a new batch was published (gen bumped) *)
-  finished : Condition.t;  (* batch progress: idle worker, death, requeue *)
+  finished : Condition.t;  (* a worker ran out of slots to claim *)
   mutable job : batch option;
   mutable gen : int;  (* batch generation; workers chase it *)
   mutable stop : bool;
-  kill_limit : int;
-}
-
-(* One worker incarnation.  Records are immutable per incarnation — a
-   respawn installs a fresh record, so a leaked (condemned, wedged)
-   domain still owns its old record and cannot confuse its successor. *)
-type worker = {
-  mutable domain : unit Domain.t option;
-  alive : bool Atomic.t;  (* false once dead or condemned *)
-  exited : bool Atomic.t;  (* domain body returned; safe to join *)
-  condemned : bool Atomic.t;  (* watchdog verdict; checked between tasks *)
-  heartbeat : int Atomic.t;  (* bumped on every claim and publish *)
-  claim : int Atomic.t;  (* slot being executed, or -1 *)
 }
 
 (* Reusable state for {!run_range}: one chunk per pool slot, rebuilt
-   never — the same batch record, publication flags and error slots are
-   reset in place each call, so a settled barrier round allocates
-   nothing (the closures below are created once per pool, not per
-   call). *)
+   never — the same batch record and error slots are reset in place
+   each call, so a settled barrier round allocates nothing (the closure
+   below is created once per pool, not per call). *)
 type range_state = {
   mutable rs_f : int -> int -> unit;  (* body for the current call *)
   mutable rs_lo : int;
   mutable rs_hi : int;
-  mutable rs_gen : int;  (* generation the current call is wired for *)
-  rs_pub : int Atomic.t array;
-      (* chunk publication, generation-tagged because the record is
-         reused: [g] = open for generation [g], [-g] = published for
-         generation [g], [0] = never opened (matches no generation, so
-         nothing can publish before the first call). *)
   rs_err : (exn * Printexc.raw_backtrace) option array;
   rs_filled : int Atomic.t;
   rs_batch : batch;
   mutable rs_job : batch option;  (* preallocated [Some rs_batch] *)
-  rs_hb : int array;  (* watchdog scratch, sized [jobs - 1] *)
-  rs_move : float array;
 }
 
 type t = {
   jobs : int;
   id : int;
   shared : shared option;  (* None iff jobs = 1 *)
-  mutable workers : worker array;
+  mutable workers : unit Domain.t array;
   mutable alive : bool;
-  mutable restarts : int;  (* workers respawned over the pool's life *)
   mutable range : range_state option;  (* lazily built on first run_range *)
-  kill_limit : int;
-  watchdog_s : float option;
-  clock : unit -> float;
-  sleep : float -> unit;
 }
 
 let jobs t = t.jobs
 
-let restarts t = t.restarts
-
 (* Pool metrics (docs/OBSERVABILITY.md).  One histogram observation per
    [map] batch — never per task — so instrumentation stays off the
-   steal-free claim path. *)
+   claim path. *)
 let m_batches = Obs.Metrics.counter "pool_batches_total"
 
 let m_tasks = Obs.Metrics.counter "pool_tasks_total"
 
 let m_workers = Obs.Metrics.gauge "pool_workers"
-
-let m_restarts = Obs.Metrics.counter "pool_worker_restarts_total"
-
-let m_requeued = Obs.Metrics.counter "pool_tasks_requeued_total"
 
 let m_map_seconds =
   Obs.Metrics.histogram ~buckets:Obs.Metrics.default_latency_buckets
@@ -142,59 +75,17 @@ let timed_batch ~count f =
   Obs.Metrics.observe m_map_seconds (Obs.Span.now () -. t0);
   r
 
-let live_workers t =
-  Array.fold_left
-    (fun n (w : worker) -> if Atomic.get w.alive then n + 1 else n)
-    0 t.workers
-  + 1 (* the calling domain always participates *)
-
 (* ------------------------------------------------------------------ *)
 (* Batch mechanics *)
 
-(* Claim the next slot: the primary counter first, then (under the lock)
-   a slot orphaned by a dead worker. *)
-let claim sh b =
+let rec drain b =
   let i = Atomic.fetch_and_add b.next 1 in
-  if i < b.count then Some i
-  else begin
-    Mutex.lock sh.m;
-    let r = if Queue.is_empty b.requeued then None else Some (Queue.pop b.requeued) in
-    Mutex.unlock sh.m;
-    r
+  if i < b.count then begin
+    b.exec i;
+    drain b
   end
 
-(* Charge a worker death to slot [i]: re-enqueue it for survivors, or —
-   once it has killed [kill_limit] workers — quarantine it as poison by
-   publishing [Worker_death].  Call with [sh.m] held. *)
-let handle_kill (sh : shared) b i =
-  b.kills.(i) <- b.kills.(i) + 1;
-  if (not b.retry) || b.kills.(i) >= sh.kill_limit then b.poison i b.kills.(i)
-  else begin
-    Queue.push i b.requeued;
-    Obs.Metrics.inc m_requeued
-  end
-
-let poison_message i k =
-  Printf.sprintf "poison task: slot %d killed %d worker(s); quarantined" i k
-
-(* Worker's share of a batch.  Heartbeat bumps bracket every task so the
-   watchdog can tell "slow task, still moving" from "wedged". *)
-let rec drain_worker sh w b =
-  if Atomic.get w.condemned then `Condemned
-  else
-    match claim sh b with
-    | None -> `Done
-    | Some i -> (
-        Atomic.set w.claim i;
-        Atomic.incr w.heartbeat;
-        match b.exec i with
-        | () ->
-            Atomic.set w.claim (-1);
-            Atomic.incr w.heartbeat;
-            drain_worker sh w b
-        | exception _ -> `Died i)
-
-let rec worker_loop sh w seen =
+let rec worker_loop sh seen =
   Mutex.lock sh.m;
   let rec await seen =
     if sh.stop then None
@@ -208,79 +99,41 @@ let rec worker_loop sh w seen =
     end
   in
   match await seen with
-  | None ->
+  | None -> Mutex.unlock sh.m
+  | Some (gen, b) ->
       Mutex.unlock sh.m;
-      Atomic.set w.exited true
-  | Some (gen, b) -> (
+      drain b;
+      Mutex.lock sh.m;
+      Condition.broadcast sh.finished;
       Mutex.unlock sh.m;
-      match drain_worker sh w b with
-      | `Done ->
-          (* Broadcast even when the batch is not finished: the caller
-             may be waiting for requeued work another death produced. *)
-          Mutex.lock sh.m;
-          Condition.broadcast sh.finished;
-          Mutex.unlock sh.m;
-          worker_loop sh w gen
-      | `Condemned ->
-          (* The watchdog already handled our claim; just get out so the
-             corpse can be reaped at the next respawn. *)
-          Atomic.set w.exited true
-      | `Died i ->
-          Atomic.set w.alive false;
-          Mutex.lock sh.m;
-          handle_kill sh b i;
-          Condition.broadcast sh.finished;
-          Mutex.unlock sh.m;
-          Atomic.set w.exited true)
+      worker_loop sh gen
 
-(* ------------------------------------------------------------------ *)
-(* Spawning and supervision *)
-
-let fresh_worker () =
-  {
-    domain = None;
-    alive = Atomic.make true;
-    exited = Atomic.make false;
-    condemned = Atomic.make false;
-    heartbeat = Atomic.make 0;
-    claim = Atomic.make (-1);
-  }
+(* The calling domain drains the counter alongside the workers, then
+   sleeps until every slot has published, and closes the batch.  A
+   worker broadcasts [finished] under [sh.m] after its last publish and
+   the predicate is rechecked under [sh.m], so no wakeup can be lost. *)
+let run_batch sh b filled =
+  drain b;
+  Mutex.lock sh.m;
+  while Atomic.get filled < b.count do
+    Condition.wait sh.finished sh.m
+  done;
+  sh.job <- None;
+  Mutex.unlock sh.m
 
 (* Spawning can fail transiently (thread limits, memory pressure).
-   Retry briefly; a worker that still cannot spawn is returned dead
-   (domain = None) — the pool runs width-degraded and retries the
-   respawn before the next batch. *)
+   Retry briefly; a worker that still cannot spawn is left out, so the
+   pool runs narrower and the calling domain drains the slots nobody
+   else claims. *)
 let spawn_worker sh =
-  let w = fresh_worker () in
-  let seen = (Mutex.lock sh.m; let g = sh.gen in Mutex.unlock sh.m; g) in
-  (match
-     Error.with_retries ~label:"pool.spawn" (fun () ->
-         try Domain.spawn (fun () -> worker_loop sh w seen)
-         with e -> raise (Error.Error (Error.Worker_death (Printexc.to_string e))))
-   with
-  | d -> w.domain <- Some d
-  | exception Error.Error (Error.Worker_death _) ->
-      Atomic.set w.alive false;
-      Atomic.set w.exited true);
-  w
-
-(* Replace dead workers (between batches only, so a batch's worker array
-   is stable).  A dead worker whose body returned is joined; a condemned
-   wedge that never exited is leaked — OCaml gives no way to kill it —
-   and its slot gets a fresh incarnation regardless. *)
-let respawn_dead t sh =
-  Array.iteri
-    (fun k (w : worker) ->
-      if not (Atomic.get w.alive) then begin
-        (match w.domain with
-        | Some d when Atomic.get w.exited -> ( try Domain.join d with _ -> ())
-        | Some _ | None -> ());
-        t.workers.(k) <- spawn_worker sh;
-        t.restarts <- t.restarts + 1;
-        Obs.Metrics.inc m_restarts
-      end)
-    t.workers;
-  Obs.Metrics.set m_workers (live_workers t)
+  match
+    Error.with_retries ~label:"pool.spawn" (fun () ->
+        try Domain.spawn (fun () -> worker_loop sh 0)
+        with e ->
+          raise (Error.Error (Error.Worker_death (Printexc.to_string e))))
+  with
+  | d -> Some d
+  | exception Error.Error (Error.Worker_death _) -> None
 
 (* ------------------------------------------------------------------ *)
 (* Process-exit registry *)
@@ -324,28 +177,15 @@ and shutdown t =
         sh.stop <- true;
         Condition.broadcast sh.ready;
         Mutex.unlock sh.m;
-        Array.iter
-          (fun w ->
-            match w.domain with
-            | Some d when not (Atomic.get w.condemned) || Atomic.get w.exited
-              -> (
-                try Domain.join d with _ -> ())
-            | Some _ | None -> () (* condemned wedge: leaked *))
-          t.workers;
+        Array.iter (fun d -> try Domain.join d with _ -> ()) t.workers;
         t.workers <- [||]
   end
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create ?watchdog_s ?(kill_limit = 2) ?(clock = Sys.time)
-    ?(sleep = Error.default_sleep) ~jobs () =
+let create ~jobs () =
   if jobs < 1 then invalid_arg "Exec.Pool.create: jobs must be >= 1";
-  if kill_limit < 1 then invalid_arg "Exec.Pool.create: kill_limit must be >= 1";
-  (match watchdog_s with
-  | Some s when s <= 0.0 ->
-      invalid_arg "Exec.Pool.create: watchdog_s must be positive"
-  | _ -> ());
   let t =
     {
       jobs;
@@ -361,47 +201,23 @@ let create ?watchdog_s ?(kill_limit = 2) ?(clock = Sys.time)
                job = None;
                gen = 0;
                stop = false;
-               kill_limit;
              });
       workers = [||];
       alive = true;
-      restarts = 0;
       range = None;
-      kill_limit;
-      watchdog_s;
-      clock;
-      sleep;
     }
   in
   (match t.shared with
   | None -> ()
   | Some sh ->
-      t.workers <- Array.init (jobs - 1) (fun _ -> spawn_worker sh);
-      Obs.Metrics.set m_workers (live_workers t);
+      let spawned = List.init (jobs - 1) (fun _ -> spawn_worker sh) in
+      t.workers <- Array.of_list (List.filter_map Fun.id spawned);
+      Obs.Metrics.set m_workers (Array.length t.workers + 1);
       register t);
   t
 
 (* ------------------------------------------------------------------ *)
 (* map *)
-
-(* Sequential fallback honoring the same crash semantics as the pooled
-   path: the caller cannot die, so each Chaos_kill counts as one worker
-   kill against the slot, and the kill limit quarantines it — identical
-   results (and identical poison error) to any [jobs] width. *)
-let map_seq t f xs =
-  Array.mapi
-    (fun i x ->
-      let rec attempt k =
-        match f x with
-        | v -> v
-        | exception Chaos_kill ->
-            let k = k + 1 in
-            if k >= t.kill_limit then
-              raise (Error.Error (Error.Worker_death (poison_message i k)))
-            else attempt k
-      in
-      attempt 0)
-    xs
 
 let map t f xs =
   if not t.alive then invalid_arg "Exec.Pool.map: pool was shut down";
@@ -410,44 +226,18 @@ let map t f xs =
   else
     timed_batch ~count:n @@ fun () ->
     match t.shared with
-    | None -> map_seq t f xs
+    | None -> Array.map f xs
     | Some sh ->
-        respawn_dead t sh;
         let slots = Array.make n None in
-        let pub = Array.init n (fun _ -> Atomic.make 0) in
         let filled = Atomic.make 0 in
-        let publish i r =
-          if Atomic.compare_and_set pub.(i) 0 1 then begin
-            slots.(i) <- Some r;
-            Atomic.incr filled
-          end
-        in
         let exec i =
-          let r =
-            try Ok (f xs.(i))
-            with
-            | Chaos_kill as e -> raise e
-            | e -> Error (e, Printexc.get_raw_backtrace ())
-          in
-          publish i r
+          slots.(i) <-
+            Some
+              (try Ok (f xs.(i))
+               with e -> Error (e, Printexc.get_raw_backtrace ()));
+          Atomic.incr filled
         in
-        let poison i k =
-          publish i
-            (Error
-               ( Error.Error (Error.Worker_death (poison_message i k)),
-                 Printexc.get_callstack 0 ))
-        in
-        let b =
-          {
-            count = n;
-            exec;
-            poison;
-            next = Atomic.make 0;
-            requeued = Queue.create ();
-            kills = Array.make n 0;
-            retry = true;
-          }
-        in
+        let b = { count = n; exec; next = Atomic.make 0 } in
         Mutex.lock sh.m;
         if sh.job <> None then begin
           Mutex.unlock sh.m;
@@ -457,81 +247,7 @@ let map t f xs =
         sh.gen <- sh.gen + 1;
         Condition.broadcast sh.ready;
         Mutex.unlock sh.m;
-        (* The calling domain is worker number [jobs]: it drains the
-           primary counter alongside the workers, absorbs its own
-           Chaos_kills (the caller cannot die — each one is charged as a
-           kill and the slot re-enqueued or poisoned), and afterwards
-           supervises: draining orphaned slots and, with a watchdog,
-           condemning wedged workers. *)
-        let rec drain_caller () =
-          match claim sh b with
-          | None -> ()
-          | Some i ->
-              (try b.exec i
-               with Chaos_kill ->
-                 Mutex.lock sh.m;
-                 handle_kill sh b i;
-                 Mutex.unlock sh.m);
-              drain_caller ()
-        in
-        let condemn (w : worker) =
-          Atomic.set w.condemned true;
-          Atomic.set w.alive false;
-          Mutex.lock sh.m;
-          let c = Atomic.get w.claim in
-          if c >= 0 then handle_kill sh b c;
-          Mutex.unlock sh.m
-        in
-        let nw = Array.length t.workers in
-        let last_hb = Array.make nw 0 in
-        let last_move = Array.make nw 0.0 in
-        let watchdog_init () =
-          let now = t.clock () in
-          Array.iteri
-            (fun k w ->
-              last_hb.(k) <- Atomic.get w.heartbeat;
-              last_move.(k) <- now)
-            t.workers
-        in
-        let watchdog_check window =
-          let now = t.clock () in
-          Array.iteri
-            (fun k (w : worker) ->
-              if Atomic.get w.alive && not (Atomic.get w.condemned) then begin
-                let hb = Atomic.get w.heartbeat in
-                if hb <> last_hb.(k) then begin
-                  last_hb.(k) <- hb;
-                  last_move.(k) <- now
-                end
-                else if Atomic.get w.claim >= 0 && now -. last_move.(k) > window
-                then condemn w
-              end)
-            t.workers
-        in
-        (match t.watchdog_s with Some _ -> watchdog_init () | None -> ());
-        let rec supervise () =
-          drain_caller ();
-          if Atomic.get filled < n then begin
-            (match t.watchdog_s with
-            | None ->
-                (* Every progress event (publish-then-idle, death,
-                   requeue) broadcasts [finished] under [sh.m], and the
-                   predicate is rechecked under [sh.m], so no wakeup can
-                   be lost. *)
-                Mutex.lock sh.m;
-                if Atomic.get filled < n && Queue.is_empty b.requeued then
-                  Condition.wait sh.finished sh.m;
-                Mutex.unlock sh.m
-            | Some window ->
-                watchdog_check window;
-                t.sleep (Float.max 1e-3 (window /. 4.)));
-            supervise ()
-          end
-        in
-        supervise ();
-        Mutex.lock sh.m;
-        sh.job <- None;
-        Mutex.unlock sh.m;
+        run_batch sh b filled;
         (* Reassemble in input order; re-raise the lowest-index failure
            (what a sequential loop would have raised first). *)
         Array.iter
@@ -551,17 +267,9 @@ let map_list t f xs = Array.to_list (map t f (Array.of_list xs))
    executor (docs/PERF.md).  [lo, hi) is split into exactly [jobs]
    contiguous chunks; every pool slot (workers + caller) executes one
    chunk as [f clo chi] and the call returns only when all chunks have
-   published.  Unlike [map], a killed chunk is NEVER retried: range
-   bodies mutate shared state in place (staging arenas, per-shard
-   tallies, node state), so re-running a half-executed chunk would
-   corrupt it.  The first kill quarantines the chunk with a
-   width-independent [Worker_death] — the same exception at every
-   [jobs], including 1. *)
+   published. *)
 
 let m_range_batches = Obs.Metrics.counter "pool_range_batches_total"
-
-let range_poison_message =
-  "range chunk killed its worker; quarantined without retry"
 
 let chunk_bounds ~jobs ~lo ~hi i =
   if jobs < 1 then invalid_arg "Exec.Pool.chunk_bounds: jobs must be >= 1";
@@ -576,51 +284,16 @@ let dummy_range_f _ _ = ()
 
 let dummy_exec (_ : int) = ()
 
-let dummy_poison (_ : int) (_ : int) = ()
-
-(* Publication is generation-tagged: a slot opened for generation [gen]
-   holds [gen] and publishes by CAS [gen -> -gen].  A condemned-but-
-   wedged worker that resumes during a LATER call still carries the
-   generation it read at chunk entry, so its CAS fails against the new
-   slot value and the stale execution can neither mark a fresh chunk
-   complete nor clobber its error slot: [rs_err] is written only after
-   a winning CAS, and the [rs_filled] increment after that write is the
-   happens-before edge publishing it to the caller. *)
-let publish_range rs gen err i =
-  if Atomic.compare_and_set rs.rs_pub.(i) gen (-gen) then begin
-    rs.rs_err.(i) <- err;
-    Atomic.incr rs.rs_filled
-  end
-
-(* Built once per pool; closes over [rs] only.  Generation and bounds
-   are read at entry, so a worker that wedges inside [rs_f] and resumes
-   after the watchdog condemned it publishes with the generation it
-   started under — and is rejected if that call has since ended. *)
+(* Built once per pool; closes over [rs] only. *)
 let range_exec rs i =
-  let gen = rs.rs_gen in
-  let jobs = Array.length rs.rs_pub in
+  let jobs = Array.length rs.rs_err in
   let len = rs.rs_hi - rs.rs_lo in
   let q = len / jobs and r = len mod jobs in
   let clo = rs.rs_lo + (i * q) + if i < r then i else r in
   let chi = clo + q + if i < r then 1 else 0 in
-  let err =
-    try
-      rs.rs_f clo chi;
-      None
-    with
-    | Chaos_kill as e -> raise e
-    | e -> Some (e, Printexc.get_raw_backtrace ())
-  in
-  publish_range rs gen err i
-
-(* Reached via [handle_kill] while the batch being poisoned is the
-   current one, so [rs_gen] is the generation the kill belongs to. *)
-let range_poison rs i _kills =
-  publish_range rs rs.rs_gen
-    (Some
-       ( Error.Error (Error.Worker_death range_poison_message),
-         Printexc.get_callstack 0 ))
-    i
+  (try rs.rs_f clo chi
+   with e -> rs.rs_err.(i) <- Some (e, Printexc.get_raw_backtrace ()));
+  Atomic.incr rs.rs_filled
 
 let range_state t =
   match t.range with
@@ -632,92 +305,18 @@ let range_state t =
           rs_f = dummy_range_f;
           rs_lo = 0;
           rs_hi = 0;
-          rs_gen = 0;
-          rs_pub = Array.init jobs (fun _ -> Atomic.make 0);
           rs_err = Array.make jobs None;
           rs_filled = Atomic.make 0;
-          rs_batch =
-            {
-              count = jobs;
-              exec = dummy_exec;
-              poison = dummy_poison;
-              next = Atomic.make 0;
-              requeued = Queue.create ();
-              kills = Array.make jobs 0;
-              retry = false;
-            };
+          rs_batch = { count = jobs; exec = dummy_exec; next = Atomic.make 0 };
           rs_job = None;
-          rs_hb = Array.make (max 1 (jobs - 1)) 0;
-          rs_move = Array.make (max 1 (jobs - 1)) 0.0;
         }
       in
-      (* Wire the once-per-pool closures after the record exists (the
+      (* Wire the once-per-pool closure after the record exists (the
          batch and the state reference each other). *)
       rs.rs_batch.exec <- range_exec rs;
-      rs.rs_batch.poison <- range_poison rs;
       rs.rs_job <- Some rs.rs_batch;
       t.range <- Some rs;
       rs
-
-(* Caller's share: claim chunks off the primary counter (no requeue
-   exists when [retry = false]) and absorb its own Chaos_kills as
-   immediate poison, mirroring a worker death. *)
-let rec range_drain_caller sh (b : batch) =
-  let i = Atomic.fetch_and_add b.next 1 in
-  if i < b.count then begin
-    (try b.exec i
-     with Chaos_kill ->
-       Mutex.lock sh.m;
-       handle_kill sh b i;
-       Mutex.unlock sh.m);
-    range_drain_caller sh b
-  end
-
-let range_condemn sh (b : batch) (w : worker) =
-  Atomic.set w.condemned true;
-  Atomic.set w.alive false;
-  Mutex.lock sh.m;
-  let c = Atomic.get w.claim in
-  if c >= 0 then handle_kill sh b c;
-  Mutex.unlock sh.m
-
-let range_watchdog_init t rs =
-  let now = t.clock () in
-  Array.iteri
-    (fun k (w : worker) ->
-      rs.rs_hb.(k) <- Atomic.get w.heartbeat;
-      rs.rs_move.(k) <- now)
-    t.workers
-
-let range_watchdog_check t sh rs window =
-  let now = t.clock () in
-  Array.iteri
-    (fun k (w : worker) ->
-      if Atomic.get w.alive && not (Atomic.get w.condemned) then begin
-        let hb = Atomic.get w.heartbeat in
-        if hb <> rs.rs_hb.(k) then begin
-          rs.rs_hb.(k) <- hb;
-          rs.rs_move.(k) <- now
-        end
-        else if Atomic.get w.claim >= 0 && now -. rs.rs_move.(k) > window then
-          range_condemn sh rs.rs_batch w
-      end)
-    t.workers
-
-let rec range_supervise t sh rs =
-  range_drain_caller sh rs.rs_batch;
-  if Atomic.get rs.rs_filled < rs.rs_batch.count then begin
-    (match t.watchdog_s with
-    | None ->
-        Mutex.lock sh.m;
-        if Atomic.get rs.rs_filled < rs.rs_batch.count then
-          Condition.wait sh.finished sh.m;
-        Mutex.unlock sh.m
-    | Some window ->
-        range_watchdog_check t sh rs window;
-        t.sleep (Float.max 1e-3 (window /. 4.)));
-    range_supervise t sh rs
-  end
 
 let rec range_reraise rs i =
   if i < Array.length rs.rs_err then
@@ -732,18 +331,9 @@ let run_range t ~lo ~hi f =
   if hi < lo then invalid_arg "Exec.Pool.run_range: hi < lo";
   Obs.Metrics.inc m_range_batches;
   match t.shared with
-  | None -> (
-      (* jobs = 1: the chunk is the whole range, executed in place.  A
-         Chaos_kill quarantines exactly as the pooled path would —
-         identical exception at every width, and no retry. *)
-      try f lo hi
-      with Chaos_kill ->
-        raise (Error.Error (Error.Worker_death range_poison_message)))
+  | None -> f lo hi (* jobs = 1: the chunk is the whole range *)
   | Some sh ->
-      if Array.exists (fun (w : worker) -> not (Atomic.get w.alive)) t.workers
-      then respawn_dead t sh;
       let rs = range_state t in
-      let jobs = t.jobs in
       Mutex.lock sh.m;
       (* The nested/concurrent check must precede every write to [rs]:
          the range state is preallocated and shared, so a nested call
@@ -757,45 +347,32 @@ let run_range t ~lo ~hi f =
       rs.rs_f <- f;
       rs.rs_lo <- lo;
       rs.rs_hi <- hi;
-      rs.rs_gen <- sh.gen;
-      Array.fill rs.rs_batch.kills 0 jobs 0;
-      for i = 0 to jobs - 1 do
-        Atomic.set rs.rs_pub.(i) rs.rs_gen;
-        rs.rs_err.(i) <- None
-      done;
+      Array.fill rs.rs_err 0 t.jobs None;
       Atomic.set rs.rs_filled 0;
       sh.job <- rs.rs_job;
-      (* The primary counter is reset LAST.  A worker from the previous
+      (* The claim counter is reset LAST.  A worker from the previous
          barrier sitting between its final publish and its next claim
          does not hold [sh.m], so until this store it must keep seeing
          the exhausted old counter (>= count — every chunk is claimed
-         through [next] exactly once, so completion implies exhaustion)
-         and exit cleanly.  Resetting [next] any earlier would let that
-         worker claim a chunk of THIS call while the publication slots
-         are still mid-reset: the chunk would execute but its publish
-         would be lost (CAS against a stale tag, or the filled
-         increment wiped by the reset below it), and with no retry the
-         barrier would hang forever.  This store is also the
-         publication edge: a claim that does observe the fresh counter
-         happens-after it and therefore sees the new
-         [rs_f]/[rs_lo]/[rs_hi]/[rs_gen]. *)
+         exactly once, so completion implies exhaustion) and exit
+         cleanly.  Resetting [next] any earlier would let that worker
+         claim a chunk of THIS call while [rs_filled] and [rs_err] are
+         still mid-reset: its publication would be wiped by the reset
+         below it and the barrier would hang forever.  This store is
+         also the publication edge: a claim that does observe the fresh
+         counter happens-after it and therefore sees the new
+         [rs_f]/[rs_lo]/[rs_hi]. *)
       Atomic.set rs.rs_batch.next 0;
       Condition.broadcast sh.ready;
       Mutex.unlock sh.m;
-      (match t.watchdog_s with
-      | Some _ -> range_watchdog_init t rs
-      | None -> ());
-      range_supervise t sh rs;
-      Mutex.lock sh.m;
-      sh.job <- None;
-      Mutex.unlock sh.m;
+      run_batch sh rs.rs_batch rs.rs_filled;
       rs.rs_f <- dummy_range_f;
       (* Lowest-index failure first: what ascending sequential chunk
          execution would have raised. *)
       range_reraise rs 0
 
-let with_pool ?watchdog_s ?kill_limit ?clock ?sleep ~jobs f =
-  let t = create ?watchdog_s ?kill_limit ?clock ?sleep ~jobs () in
+let with_pool ~jobs f =
+  let t = create ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let default_jobs () =

@@ -1,10 +1,10 @@
-(** Deterministic, self-healing fixed-size domain worker pool.
+(** Deterministic fixed-size domain worker pool.
 
     The execution engine behind every fan-out in the repository: parameter
     sweeps, per-trial exact MaxIS solves, the parallel branch-and-bound
-    split, the verification audit.  The design goal is a hard determinism
-    contract, because the bench harness promises byte-identical tables for
-    any [--jobs] setting:
+    split, the verification audit, the sharded round engine.  The design
+    goal is a hard determinism contract, because the bench harness
+    promises byte-identical tables for any [--jobs] setting:
 
     - {!map} assigns every item a stable index and reassembles results in
       input order, so the caller observes exactly the sequential result no
@@ -18,84 +18,31 @@
 
     Pools hold [jobs - 1] worker domains blocked on a condition variable;
     the calling domain participates in every batch, so [jobs] is the true
-    parallel width.  Tasks must not themselves call {!map} on the same pool
-    (that raises [Invalid_argument] rather than deadlocking).
-
-    {2 Supervision}
-
-    The pool survives its own workers.  A worker that dies mid-task (its
-    task raised {!Chaos_kill} — OCaml has no other way to lose a domain
-    short of a runtime crash) runs a death protocol: the slot it was
-    executing is re-enqueued and drained by the surviving workers or by
-    the calling domain, so the batch still completes with results
-    byte-identical to [jobs = 1].  Dead workers are replaced by fresh
-    domains before the next batch ([pool_worker_restarts_total] counts
-    replacements), so the pool heals back to full width.
-
-    A slot whose executions have killed {!create}[ ~kill_limit] workers is
-    a {e poison task}: it is quarantined — its result becomes
-    [Error.Error (Worker_death _)], which {!map} re-raises under the
-    lowest-index rule — instead of being retried forever.  This holds at
-    every width, including [jobs = 1], so a deterministic crasher yields
-    the identical exception regardless of [--jobs].
-
-    With [~watchdog_s] the calling domain additionally polls worker
-    heartbeats between supervision sleeps: a worker holding a task whose
-    heartbeat has not advanced within the window is {e condemned} — its
-    slot re-enqueued exactly as if it had died, the domain (unkillable
-    from outside) leaked and replaced at the next batch.  Without a
-    watchdog a genuinely wedged task blocks its batch forever; enable it
-    wherever tasks are not trusted to terminate. *)
+    parallel width.  Tasks must not themselves call {!map} or {!run_range}
+    on the same pool (that raises [Invalid_argument] rather than
+    deadlocking).  A task that never returns blocks its batch: the pool
+    runs trusted, terminating code and does not supervise it. *)
 
 type t
 
-exception Chaos_kill
-(** Chaos-harness hook: a task raising [Chaos_kill] kills its executing
-    worker domain (simulating a crash) instead of being recorded as an
-    ordinary task failure.  Never raise it outside fault-injection
-    tests. *)
-
-val create :
-  ?watchdog_s:float ->
-  ?kill_limit:int ->
-  ?clock:(unit -> float) ->
-  ?sleep:(float -> unit) ->
-  jobs:int ->
-  unit ->
-  t
-(** [create ~jobs ()] spawns [jobs - 1] supervised worker domains
-    ([jobs >= 1], else [Invalid_argument]).  The pool registers itself in
-    a process-wide exit registry (one [at_exit] hook total), so
-    forgetting {!shutdown} never leaves blocked domains behind.  A worker
-    that cannot be spawned (after {!Error.with_retries}-bounded retries)
-    leaves the pool width-degraded for the current batch — {!map} still
-    completes, executed by the workers that do exist plus the calling
-    domain — and the spawn is retried before each subsequent batch.
-
-    [kill_limit] (default 2) is the number of workers one slot may kill
-    before it is quarantined as a poison task.  [watchdog_s] (default
-    off) enables heartbeat supervision with the given stall window, in
-    seconds of [clock] (default [Sys.time] — process CPU time; drivers
-    that link unix pass [Unix.gettimeofday]); [sleep] (default the
-    process-wide {!Error.default_sleep}) paces the supervision poll. *)
+val create : jobs:int -> unit -> t
+(** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs >= 1], else
+    [Invalid_argument]).  The pool registers itself in a process-wide exit
+    registry (one [at_exit] hook total), so forgetting {!shutdown} never
+    leaves blocked domains behind.  A worker that cannot be spawned (after
+    {!Error.with_retries}-bounded retries) is left out: the pool runs
+    narrower and the calling domain executes the slots nobody else
+    claims, so results and chunk geometry are unchanged. *)
 
 val jobs : t -> int
 (** The parallel width the pool was created with. *)
 
-val live_workers : t -> int
-(** Workers currently believed alive, plus the calling domain: the
-    effective width of the next batch before respawning. *)
-
-val restarts : t -> int
-(** Worker domains respawned over the pool's lifetime (also aggregated
-    process-wide in [pool_worker_restarts_total]). *)
-
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f xs] is [Array.map f xs], computed by up to [jobs pool]
-    domains.  Results are in input order; see the determinism and
-    supervision contracts above for exceptions and worker deaths.
-    Raises [Invalid_argument] on a nested or concurrent [map] over the
-    same pool, or (at any width, including 1) after {!shutdown}. *)
+    domains.  Results are in input order; see the determinism contract
+    above for exceptions.  Raises [Invalid_argument] on a nested or
+    concurrent batch over the same pool, or (at any width, including 1)
+    after {!shutdown}. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!map}; same contract. *)
@@ -113,15 +60,10 @@ val run_range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
     call allocates no closures and no per-call arrays, which is what
     keeps the parallel round loop at zero minor words per round.
 
-    Exception contract: a chunk body that raises an ordinary exception
-    records it; after the barrier the {e lowest-index} failure is
-    re-raised (ascending chunks = ascending node ranges, so this is the
-    exception ascending sequential execution would have raised first).
-    Unlike {!map}, a chunk whose worker dies ({!Chaos_kill}) is {e never
-    retried} — range bodies mutate shared state in place, so the first
-    kill quarantines the chunk and the call raises
-    [Error.Error (Worker_death _)] with a width-independent message:
-    the identical exception at every [jobs], including 1.
+    Exception contract: a chunk body that raises records it; after the
+    barrier the {e lowest-index} failure is re-raised (ascending chunks =
+    ascending node ranges, so this is the exception ascending sequential
+    execution would have raised first).  A chunk is never re-run.
 
     Raises [Invalid_argument] if [hi < lo], on a nested or concurrent
     batch over the same pool, or after {!shutdown}. *)
@@ -135,18 +77,10 @@ val chunk_bounds : jobs:int -> lo:int -> hi:int -> int -> int * int
     unless [0 <= i < jobs]. *)
 
 val shutdown : t -> unit
-(** Stop and join the worker domains (condemned-but-wedged domains are
-    leaked — they cannot be joined without blocking).  Idempotent; a
-    [jobs = 1] pool is a no-op.  Subsequent {!map} calls raise. *)
+(** Stop and join the worker domains.  Idempotent; a [jobs = 1] pool is
+    a no-op.  Subsequent {!map} and {!run_range} calls raise. *)
 
-val with_pool :
-  ?watchdog_s:float ->
-  ?kill_limit:int ->
-  ?clock:(unit -> float) ->
-  ?sleep:(float -> unit) ->
-  jobs:int ->
-  (t -> 'a) ->
-  'a
+val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] on a fresh pool and shuts it down on any
     exit path. *)
 

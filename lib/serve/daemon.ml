@@ -51,7 +51,6 @@ let m_scrapes = Obs.Metrics.counter "serve_scrapes_total"
 let m_request_bytes = Obs.Metrics.counter "serve_request_bytes_total"
 let m_reply_bytes = Obs.Metrics.counter "serve_reply_bytes_total"
 let m_batches = Obs.Metrics.counter "serve_batches_total"
-let m_batch_fallbacks = Obs.Metrics.counter "serve_batch_fallbacks_total"
 let m_io_errors = Obs.Metrics.counter "serve_io_errors_total"
 let m_queue_depth = Obs.Metrics.gauge "serve_queue_depth"
 let m_conns = Obs.Metrics.gauge "serve_conns"
@@ -207,7 +206,6 @@ let reply_now d conn reply ~op ~t0 =
 
 let failure_reason = function
   | Exec.Error.Error k -> Exec.Error.to_string k
-  | Exec.Pool.Chaos_kill -> "worker killed (chaos)"
   | Invalid_argument m -> "invalid request: " ^ m
   | Failure m -> m
   | e -> Printexc.to_string e
@@ -326,11 +324,9 @@ let process_input d conn =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch: batch the admitted queue across the pool.  Tasks never let
-   an exception escape — except Chaos_kill, which must reach the pool's
-   supervision.  If the batch-level map still fails (a quarantined
-   poison task, or a width-1 chaos kill), re-execute each request on the
-   event loop so only the genuinely failing request errors. *)
+(* Dispatch: batch the admitted queue across the pool.  Every task
+   catches its own exception into [Error], so a failing request errors
+   alone and the batch always completes. *)
 
 let execute d w =
   match w.w_op with
@@ -339,7 +335,7 @@ let execute d w =
       Ops.bounds ~cache:d.cfg.cache ~alpha:b_alpha ~ell:b_ell ~players:b_players
   | Proto.Claim_verify p ->
       (Ops.claim_verify ~cache:d.cfg.cache ~budget:w.w_budget p).Ops.v_payload
-  | Proto.Chaos_kill -> raise Exec.Pool.Chaos_kill
+  | Proto.Chaos_kill -> failwith "worker killed (chaos)"
   | Proto.Ping | Proto.Stats -> assert false (* answered inline, never queued *)
 
 let dispatch d =
@@ -354,17 +350,9 @@ let dispatch d =
     let works = Array.of_seq (Queue.to_seq batch) in
     Obs.Metrics.inc m_batches;
     let results =
-      try
-        Exec.Pool.map d.pool
-          (fun w ->
-            try Ok (execute d w)
-            with
-            | Exec.Pool.Chaos_kill as e -> raise e
-            | e -> Error e)
-          works
-      with _batch_failure ->
-        Obs.Metrics.inc m_batch_fallbacks;
-        Array.map (fun w -> try Ok (execute d w) with e -> Error e) works
+      Exec.Pool.map d.pool
+        (fun w -> try Ok (execute d w) with e -> Error e)
+        works
     in
     Array.iteri
       (fun i w ->
@@ -597,8 +585,8 @@ let evict d conn reason =
      ignore (write_with_deadline d ~deadline_s:0.05 conn.fd line));
   drop_conn d conn
 
-(* The watchdog sweep (the Exec.Pool supervision idiom, applied to
-   connections): once per tick, against the injectable clock. *)
+(* The connection-lifecycle sweep: once per tick, against the
+   injectable clock. *)
 let sweep_lifecycle d now =
   let victims = ref [] in
   Hashtbl.iter

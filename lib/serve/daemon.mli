@@ -14,17 +14,14 @@
     the process metrics registry to any connection that scrapes it.
 
     Failure containment: a request whose execution raises gets an
-    [error] reply and the connection lives on; a task that kills its
-    pool worker ({!Exec.Pool.Chaos_kill} — enabled only with
-    [allow_chaos]) is absorbed by pool supervision and, if quarantined,
-    the batch re-executes on the event loop so only the poison request
-    errors.  Socket failures are classified as
-    {!Exec.Error.kind.Net_io}: a dead client costs its connection,
-    nothing else.
+    [error] reply and the connection lives on, and the rest of its batch
+    is answered normally — including the [chaos-kill] fault hook
+    (enabled only with [allow_chaos]), which always fails.  Socket
+    failures are classified as {!Exec.Error.kind.Net_io}: a dead client
+    costs its connection, nothing else.
 
-    Connection lifecycle (the {!Exec.Pool} watchdog idiom, applied to
-    sockets; every deadline reads the injectable [clock]): at most
-    [max_conns] connections are held at once — excess accepts are shed
+    Connection lifecycle (every deadline reads the injectable [clock]):
+    at most [max_conns] connections are held at once — excess accepts are shed
     with a structured error line and closed, never silently dropped; a
     connection holding a partial request line longer than
     [read_deadline_s] without new bytes is evicted (slow-loris); a

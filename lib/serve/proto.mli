@@ -70,9 +70,9 @@ type op =
   | Bounds of { b_alpha : int; b_ell : int; b_players : int }
   | Claim_verify of verify_params
   | Chaos_kill
-      (** fault-injection hook: the daemon executes it as a worker-killing
-          task ({!Exec.Pool.Chaos_kill}); refused unless the daemon was
-          started with chaos ops enabled *)
+      (** fault-injection hook: the daemon executes it as a task that
+          always fails (reason ["worker killed (chaos)"]); refused unless
+          the daemon was started with chaos ops enabled *)
 
 val op_name : op -> string
 (** The wire name: ["ping"], ["stats"], ["solve"], ["bounds"],

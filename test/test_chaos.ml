@@ -1,22 +1,19 @@
-(* Chaos harness: supervised pools under worker kills, seeded
-   filesystem fault injection, and fsck repair — the unit-test side of
-   the bench CHAOS leg (bench/exp_chaos.ml).
+(* Chaos harness: program exceptions inside the sharded executor,
+   seeded filesystem fault injection, and fsck repair — the unit-test
+   side of the bench CHAOS leg (bench/exp_chaos.ml).
 
    Invariants exercised here:
-   - a worker killed mid-batch yields [Pool.map] results byte-identical
-     to [jobs = 1], and the pool heals to full width;
-   - a poison task (kills every executor) is quarantined as
-     [Error.Worker_death] with the identical message at every width;
-   - the watchdog condemns a genuinely wedged worker and the batch
-     still completes (fake clock, so no real-time dependence);
+   - a program exception mid-round escapes [Runtime.run_flat_par] at
+     every width exactly as it escapes [Runtime.run_flat], with the same
+     trace prefix;
    - the fault injector replays exactly: same plan + same operation
      sequence => same faults;
    - cache/journal on a faulty filesystem never return wrong values;
    - fsck quarantines every invalid entry, a second pass is clean, and
      a rerun hits every surviving entry.
 
-   A [Unix.alarm] is armed in [main]: if any supervision bug hangs a
-   batch, the suite dies with SIGALRM instead of blocking CI. *)
+   A [Unix.alarm] is armed in [main]: if any pool bug hangs a batch,
+   the suite dies with SIGALRM instead of blocking CI. *)
 
 module Pool = Exec.Pool
 module Cache = Exec.Cache
@@ -44,145 +41,13 @@ let rm_rf root =
   in
   go root
 
-(* Tasks are nanosecond-cheap, so the calling domain would drain a
-   whole batch before a worker even wakes from its condition wait.
-   Tests that need a worker to claim a slot gate the caller-side tasks
-   on [flag] (bounded, so nothing can deadlock): the caller lingers,
-   the worker wakes and claims. *)
-let await_flag flag =
-  let deadline = Unix.gettimeofday () +. 0.2 in
-  while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
-    Domain.cpu_relax ()
-  done
-
 (* ------------------------------------------------------------------ *)
-(* Pool supervision *)
+(* Sharded flat executor under a program exception mid-round *)
 
-let test_kill_matches_jobs_one () =
-  (* Slots 0, 5, 10, ... kill their first executor; the re-enqueued
-     slots must be drained by survivors with results identical to the
-     sequential pool (which retries the same kills in-line). *)
-  let xs = Array.init 24 Fun.id in
-  let killing_task attempts i =
-    let a = Atomic.fetch_and_add attempts.(i) 1 in
-    if i mod 5 = 0 && a = 0 then raise Pool.Chaos_kill;
-    (i * i) + 1
-  in
-  let run jobs =
-    let attempts = Array.map (fun _ -> Atomic.make 0) xs in
-    Pool.with_pool ~jobs (fun pool -> Pool.map pool (killing_task attempts) xs)
-  in
-  let seq = run 1 in
-  check "kills retried at jobs=1" true (seq = Array.map (fun i -> (i * i) + 1) xs);
-  check "jobs=4 under kills = jobs=1" true (run 4 = seq);
-  check "jobs=2 under kills = jobs=1" true (run 2 = seq)
-
-let test_respawn_heals_pool () =
-  (* Each slot's first execution kills its worker iff it runs on a
-     worker domain (the caller absorbs kills without dying), so no slot
-     can reach the poison limit.  After at least one genuine worker
-     death, the next batch must respawn to full width. *)
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let caller = Domain.self () in
-      let died = Atomic.make false in
-      let xs = Array.init 32 Fun.id in
-      let expected = Array.map (fun i -> i + 100) xs in
-      let tries = ref 0 in
-      while (not (Atomic.get died)) && !tries < 50 do
-        incr tries;
-        let attempts = Array.map (fun _ -> Atomic.make 0) xs in
-        let task i =
-          let a = Atomic.fetch_and_add attempts.(i) 1 in
-          if a = 0 && Domain.self () <> caller then begin
-            Atomic.set died true;
-            raise Pool.Chaos_kill
-          end;
-          await_flag died;
-          i + 100
-        in
-        check "batch completes despite worker deaths" true
-          (Pool.map pool task xs = expected)
-      done;
-      check "a worker death was provoked" true (Atomic.get died);
-      (* The healing batch first respawns the dead workers. *)
-      check "healed batch" true (Pool.map pool (fun i -> i + 100) xs = expected);
-      check_int "healed to full width" 3 (Pool.live_workers pool);
-      check "restarts counted" true (Pool.restarts pool >= 1))
-
-let test_poison_identical_at_every_width () =
-  (* A deterministic crasher must terminate the batch as the same
-     quarantine error — same message — at jobs = 1 and jobs = 4, and
-     must not eat the pool. *)
-  let task i = if i = 2 then raise Pool.Chaos_kill else i in
-  let poison_of pool =
-    match Pool.map pool task [| 0; 1; 2; 3 |] with
-    | _ -> None
-    | exception Exec.Error.Error (Exec.Error.Worker_death msg) -> Some msg
-  in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let m4 = poison_of pool in
-      let m1 = Pool.with_pool ~jobs:1 poison_of in
-      check "quarantined at jobs=4" true (m4 <> None);
-      check "quarantined at jobs=1" true (m1 <> None);
-      check_string "identical poison message" (Option.get m1) (Option.get m4);
-      (* The poisoned batch did not wedge or kill the pool. *)
-      check "pool survives poison" true
-        (Pool.map pool succ [| 1; 2; 3 |] = [| 2; 3; 4 |]))
-
-let test_watchdog_condemns_wedge () =
-  (* One task wedges forever (spins on a flag) when executed by a
-     worker.  Under a fake clock advanced only by the supervision
-     sleep, the watchdog must condemn the wedged worker, re-enqueue its
-     slot, and complete the batch with correct results — no real time
-     involved. *)
-  let now = ref 0.0 in
-  let clock () = !now in
-  let sleep d = now := !now +. d in
-  Pool.with_pool ~watchdog_s:0.05 ~clock ~sleep ~jobs:2 (fun pool ->
-      let caller = Domain.self () in
-      let release = Atomic.make false in
-      let engaged = Atomic.make false in
-      let xs = Array.init 8 Fun.id in
-      let expected = Array.map (fun i -> i * 10) xs in
-      let task i =
-        if
-          Domain.self () <> caller
-          && Atomic.compare_and_set engaged false true
-        then
-          (* Wedge: no heartbeat movement until released. *)
-          while not (Atomic.get release) do
-            Domain.cpu_relax ()
-          done;
-        await_flag engaged;
-        i * 10
-      in
-      (* The lone worker races the caller for slots; retry until it
-         actually claimed one (and therefore wedged). *)
-      let tries = ref 0 in
-      while (not (Atomic.get engaged)) && !tries < 100 do
-        incr tries;
-        check "wedged batch still completes" true (Pool.map pool task xs = expected)
-      done;
-      check "wedge engaged" true (Atomic.get engaged);
-      (* Let the condemned (leaked) domain finish so shutdown can
-         join its replacement cleanly. *)
-      Atomic.set release true;
-      (* The next batch replaces the condemned worker.  (No width
-         assertion here: under a fake clock that leaps a window per
-         supervision poll, even a healthy worker can be re-condemned
-         mid-batch — harmless, but it makes the post-batch width
-         nondeterministic.) *)
-      check "post-condemnation batch" true
-        (Pool.map pool (fun i -> i * 10) xs = expected);
-      check "condemned worker replaced" true (Pool.restarts pool >= 1))
-
-(* ------------------------------------------------------------------ *)
-(* Sharded flat executor under a worker kill mid-round *)
-
-(* Wrap a flat program so node [at_node] kills its executing domain in
-   round [at_round] — from inside [Runtime.run_flat_par]'s stage phase,
-   which is where a real domain loss would land. *)
-let kill_wrap (fp : 'out Congest.Fastpath.t) ~at_round ~at_node =
+(* Wrap a flat program so node [at_node] raises [Failure] in round
+   [at_round] — from inside [Runtime.run_flat_par]'s stage phase, on
+   whichever domain executes that node's shard. *)
+let failing_wrap (fp : 'out Congest.Fastpath.t) ~at_round ~at_node =
   {
     fp with
     Congest.Fastpath.fspawn =
@@ -194,55 +59,68 @@ let kill_wrap (fp : 'out Congest.Fastpath.t) ~at_round ~at_node =
             node with
             Congest.Fastpath.fstep =
               (fun ~round ~inbox em ->
-                if round = at_round then raise Pool.Chaos_kill;
+                if round = at_round then
+                  failwith (Printf.sprintf "node %d failed" at_node);
                 node.Congest.Fastpath.fstep ~round ~inbox em);
           });
   }
 
-let test_flat_par_kill_mid_round () =
-  (* A worker killed mid-round must surface as the same structured
-     [Worker_death] — same message, same trace left behind — at every
-     width including jobs = 1, and the torn round must record no trace:
-     what remains is exactly a clean run truncated at the last complete
-     round. *)
+let test_flat_par_program_exception () =
+  (* A program exception mid-round must escape unchanged from
+     [run_flat] and from [run_flat_par] at every width, leaving the
+     trace prefix sequential execution recorded: Full prefixes agree on
+     digest and message count, and every Light prefix agrees with the
+     sequential Full one on each streamed aggregate. *)
   let rounds = 12 and at_round = 5 in
   let c = Wgraph.Csr.of_graph (Wgraph.Build.cycle 64) in
   let config =
     { Congest.Runtime.default_config with Congest.Runtime.max_rounds = rounds }
   in
-  let outcome jobs =
-    Pool.with_pool ~jobs (fun pool ->
-        let trace = Congest.Trace.create ~mode:Congest.Trace.Light () in
-        let fp =
-          kill_wrap (Congest.Fastpath.max_id ~rounds) ~at_round ~at_node:3
-        in
-        match Congest.Runtime.run_flat_par ~config ~trace ~pool fp c with
-        | _ -> Alcotest.fail "kill did not surface"
-        | exception Exec.Error.Error (Exec.Error.Worker_death msg) ->
-            (* [Trace.digest] mixes in the executed-round count, which a
-               torn run never sets — compare the pure send-stream state
-               instead. *)
-            ( msg,
-              Congest.Trace.total_messages trace,
-              Congest.Trace.send_digest_state trace ))
+  let fp =
+    failing_wrap (Congest.Fastpath.max_id ~rounds) ~at_round ~at_node:3
   in
-  let ((_, msgs, digest) as ref1) = outcome 1 in
+  let module T = Congest.Trace in
+  let prefix mode run =
+    let trace = T.create ~mode () in
+    match run trace with
+    | _ -> Alcotest.fail "program exception did not surface"
+    | exception Failure msg -> (msg, trace)
+  in
+  let seq mode =
+    prefix mode (fun trace -> Congest.Runtime.run_flat ~config ~trace fp c)
+  in
+  let par jobs mode =
+    Pool.with_pool ~jobs (fun pool ->
+        prefix mode (fun trace ->
+            Congest.Runtime.run_flat_par ~config ~trace ~pool fp c))
+  in
+  let summary t =
+    [
+      T.total_messages t;
+      T.total_bits t;
+      T.rounds t;
+      T.max_bits_per_edge_round t;
+    ]
+  in
+  let seq_msg, seq_full = seq T.Full in
+  check_string "run_flat failure" "node 3 failed" seq_msg;
+  check "prefix holds the earlier rounds" true (T.total_messages seq_full > 0);
+  let expected = summary seq_full in
+  Alcotest.(check (list int))
+    "run_flat Light prefix" expected
+    (summary (snd (seq T.Light)));
   List.iter
     (fun jobs ->
-      check (Printf.sprintf "jobs=%d outcome = jobs=1" jobs) true
-        (outcome jobs = ref1))
-    [ 2; 3; 8 ];
-  let clean = Congest.Trace.create ~mode:Congest.Trace.Light () in
-  let short =
-    { Congest.Runtime.default_config with Congest.Runtime.max_rounds = at_round }
-  in
-  ignore
-    (Congest.Runtime.run_flat ~config:short ~trace:clean
-       (Congest.Fastpath.max_id ~rounds) c);
-  check "torn round recorded no messages" true
-    (msgs = Congest.Trace.total_messages clean);
-  check "torn round recorded no digest" true
-    (digest = Congest.Trace.send_digest_state clean)
+      let name = Printf.sprintf "jobs=%d" jobs in
+      let msg, full = par jobs T.Full and lmsg, light = par jobs T.Light in
+      check_string (name ^ " Full failure") seq_msg msg;
+      check_string (name ^ " Light failure") seq_msg lmsg;
+      check (name ^ " Full digest") true (T.digest full = T.digest seq_full);
+      check_int (name ^ " Full messages") (T.total_messages seq_full)
+        (T.total_messages full);
+      Alcotest.(check (list int)) (name ^ " Light prefix") expected
+        (summary light))
+    [ 1; 2; 3; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Fault injector replay *)
@@ -429,8 +307,8 @@ let test_state_survives_faults_and_fsck () =
 let e2e_root = "chaos_e2e_test"
 
 let test_end_to_end_chaos () =
-  (* Worker kills and filesystem faults at once, pinned seeds: the
-     sweep must terminate (alarm guard in [main]) with rows
+  (* Filesystem faults under a 3-wide pool, pinned seeds: the sweep
+     must terminate (alarm guard in [main]) with rows
      byte-identical to the clean sequential reference, and an
      fsck-repaired rerun must reproduce them again. *)
   rm_rf e2e_root;
@@ -449,12 +327,8 @@ let test_end_to_end_chaos () =
   let cache = Cache.create ~fs:(Fsio.chaos inj) ~dir:cache_dir () in
   let rows =
     Pool.with_pool ~jobs:3 (fun pool ->
-        let attempts = Array.init n (fun _ -> Atomic.make 0) in
         Pool.map pool
-          (fun i ->
-            let a = Atomic.fetch_and_add attempts.(i) 1 in
-            if i mod 4 = 0 && a = 0 then raise Pool.Chaos_kill;
-            Cache.memo cache (key_for i) (fun () -> cell i))
+          (fun i -> Cache.memo cache (key_for i) (fun () -> cell i))
           (Array.init n Fun.id))
   in
   check "chaos rows = clean reference" true (rows = reference);
@@ -469,22 +343,14 @@ let test_end_to_end_chaos () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  (* A supervision bug must fail CI, not block it. *)
+  (* A pool bug must fail CI, not block it. *)
   ignore (Unix.alarm 600);
   Alcotest.run "chaos"
     [
       ( "pool",
         [
-          Alcotest.test_case "kill mid-batch = jobs=1" `Quick
-            test_kill_matches_jobs_one;
-          Alcotest.test_case "respawn heals pool" `Quick
-            test_respawn_heals_pool;
-          Alcotest.test_case "poison identical at every width" `Quick
-            test_poison_identical_at_every_width;
-          Alcotest.test_case "watchdog condemns wedge" `Quick
-            test_watchdog_condemns_wedge;
-          Alcotest.test_case "flat-par kill mid-round" `Quick
-            test_flat_par_kill_mid_round;
+          Alcotest.test_case "flat-par program exception mid-round" `Quick
+            test_flat_par_program_exception;
         ] );
       ( "fsio",
         [

@@ -236,6 +236,84 @@ let test_run_range_after_shutdown () =
     (Invalid_argument "Exec.Pool.run_range: pool was shut down") (fun () ->
       Pool.run_range pool ~lo:0 ~hi:4 (fun _ _ -> ()))
 
+(* Seeded interleaving stress for the reused barrier.  Chunk bodies
+   spin a seeded number of [Domain.cpu_relax] iterations, so workers
+   reach the publish / re-claim window of the reset protocol at varied
+   offsets, and [Pool.map] batches are interleaved on the same pool
+   (they share its job slot and generation counter).  Every call must
+   run each chunk exactly once and cover [lo, hi); every 7th call raises
+   in two chunks and the lower one's exception must surface.  The seed
+   differs per run and is logged, so repeated runs draw different
+   schedules; a hang is caught by the suite's alarm. *)
+let test_barrier_interleaving_stress () =
+  let seed =
+    (int_of_float (Unix.gettimeofday () *. 1e6) lxor Unix.getpid ())
+    land 0x3FFF_FFFF
+  in
+  Printf.printf "barrier stress seed: %d\n%!" seed;
+  let rng = Prng.create seed in
+  let spin k =
+    for _ = 1 to k do
+      Domain.cpu_relax ()
+    done
+  in
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          for call = 1 to 2_000 do
+            let raising = call mod 7 = 0 in
+            let lo = Prng.int rng 50 in
+            (* Raising calls need distinct, non-empty chunks so a chunk
+               is identified by its bounds. *)
+            let len =
+              if raising then jobs + Prng.int rng (3 * jobs)
+              else Prng.int rng (4 * jobs)
+            in
+            let hi = lo + len in
+            let bounds = Array.init jobs (Pool.chunk_bounds ~jobs ~lo ~hi) in
+            let spins = Array.init jobs (fun _ -> Prng.int rng 2_001) in
+            let bad_a = Prng.int rng jobs in
+            let bad_b = (bad_a + 1 + Prng.int rng (jobs - 1)) mod jobs in
+            let ran = Atomic.make 0 and covered = Atomic.make 0 in
+            let rec index_of clo chi k =
+              if bounds.(k) = (clo, chi) then k else index_of clo chi (k + 1)
+            in
+            let body clo chi =
+              let k = index_of clo chi 0 in
+              spin spins.(k);
+              Atomic.incr ran;
+              ignore (Atomic.fetch_and_add covered (chi - clo));
+              if raising && (k = bad_a || k = bad_b) then
+                failwith (Printf.sprintf "chunk %d" k)
+            in
+            let fail fmt =
+              Alcotest.failf ("seed=%d jobs=%d call=%d: " ^^ fmt) seed jobs call
+            in
+            (match Pool.run_range pool ~lo ~hi body with
+            | () -> if raising then fail "no chunk exception surfaced"
+            | exception Failure m ->
+                let want = Printf.sprintf "chunk %d" (min bad_a bad_b) in
+                if not raising then fail "unexpected %s" m
+                else if m <> want then fail "%s surfaced, want %s" m want);
+            if Atomic.get ran <> jobs then
+              fail "%d chunk runs, want %d" (Atomic.get ran) jobs;
+            if Atomic.get covered <> len then
+              fail "covered %d of %d" (Atomic.get covered) len;
+            if call mod 5 = 0 then begin
+              let xs = Array.init (2 * jobs) Fun.id in
+              let got =
+                Pool.map pool
+                  (fun x ->
+                    spin spins.(x mod jobs);
+                    x * 3)
+                  xs
+              in
+              if got <> Array.map (fun x -> x * 3) xs then
+                fail "interleaved map out of order"
+            end
+          done))
+    [ 2; 4; 8 ]
+
 (* ------------------------------------------------------------------ *)
 (* Cache *)
 
@@ -922,6 +1000,8 @@ let test_cache_concurrent_faulty_same_key () =
 (* ------------------------------------------------------------------ *)
 
 let () =
+  (* A barrier bug must fail the suite, not hang it. *)
+  ignore (Unix.alarm 600);
   Alcotest.run "exec"
     [
       ( "pool",
@@ -957,6 +1037,11 @@ let () =
             test_run_range_nested_rejected;
           Alcotest.test_case "run_range after shutdown" `Quick
             test_run_range_after_shutdown;
+        ] );
+      ( "barrier",
+        [
+          Alcotest.test_case "seeded interleaving stress" `Quick
+            test_barrier_interleaving_stress;
         ] );
       ( "cache",
         [
