@@ -109,7 +109,7 @@ parlargen:
 
 # Full-scale parallel sweep: run_flat_par vs run_flat parity + scaling
 # at every width, flood/BFS/Luby to MAXIS_LARGEN_MAX_N (default 10⁵)
-# plus both gadget families with the sharded row sort (writes
+# plus both gadget families with the sharded row fill (writes
 # results/parlargen.csv and appends to BENCH_largen.json).
 bench-parlargen:
 	dune exec bench/main.exe -- PARLARGEN

@@ -14,9 +14,9 @@
 
    - a gadget-construction sweep — [Linear_family.fixed_csr] and (at
      the smaller sizes) [Quadratic_family.fixed_csr] built with the
-     row-sorting pass sharded across each width via
-     [Csr.Builder.finish ~shard], asserted [Csr.equal] to the
-     sequential build.  Gadget targets stop at 10⁵ (a 10⁶-node gadget
+     closed-form row fill sharded across each width via
+     [Csr.of_rows ~shard], asserted [Csr.equal] to the sequential
+     build.  Gadget targets stop at 10⁵ (a 10⁶-node gadget
      instance carries ~10¹⁰ edges — out of memory range);
 
    - the trajectory append — one dated entry per run, recorded with the
@@ -256,6 +256,9 @@ let run () =
                 ])
         [ false; true ])
     gadget_sizes;
+  (* The title still says "row sort", the pass the sharded callback ran
+     before the rows were filled in closed form; stdout stays
+     byte-stable across versions. *)
   T.print ~title:"gadget CSR construction with sharded row sort" gtable;
   List.iter (fun (_, pool) -> Exec.Pool.shutdown pool) pools;
 

@@ -1,4 +1,5 @@
 module Graph = Wgraph.Graph
+module Row = Wgraph.Csr.Row
 
 let copy_size p = Params.k p + (Params.positions p * Params.q p)
 
@@ -35,47 +36,109 @@ let node_kind p ~offset v =
     let c = rel - Params.k p in
     `Sigma (c / Params.q p, c mod Params.q p)
 
-(* CSR twin of [build_into]: [Csr.Builder] has no edge removal, so the
-   v_m ↔ Code \ Code_m connections are built directly — for each position
-   the codeword's own symbol is skipped instead of added-then-removed.
-   Labels are optional: at n ≥ 10⁵ the per-node strings cost more than
-   the edges, and the large-n sweeps never read them. *)
-let build_csr_into ?(labels = false) p b ~offset ~copy_name =
-  let module B = Wgraph.Csr.Builder in
-  let clique nodes =
-    let n = Array.length nodes in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        B.add_edge b nodes.(i) nodes.(j)
-      done
-    done
+(* Closed-form CSR rows for [sides·t] copies of H, copy [c = sides·i + b]
+   at offset [c·S].  Copies on the same side are peers: their code
+   cliques C_h are joined by the complement of the perfect matching.
+   With [sides = 2] and [inputs], player [i]'s A–A bit gadget links
+   v^{(i,0)}_{m₁} and v^{(i,1)}_{m₂} iff bit m₁·k + m₂ is 0.  Every row
+   is a few ascending runs written in order:
+   - A node m: the other side's gadget neighbours when that copy comes
+     first, the own A clique minus self, the code nodes minus the
+     codeword, then the other side's gadget neighbours when it comes
+     after;
+   - σ(h,r): the lower peers' C_h minus r, the own A nodes whose codeword
+     has w_m(h) ≠ r, the own C_h minus self, the higher peers' C_h
+     minus r. *)
+let csr ?shard ?inputs ~sides ~weights p =
+  if sides < 1 || sides > 2 || (inputs <> None && sides <> 2) then
+    invalid_arg "Base_graph.csr: sides must be 1 or 2, and inputs need 2";
+  let t = p.Params.players and k = Params.k p in
+  let positions = Params.positions p and q = Params.q p in
+  let size = copy_size p in
+  let copies = sides * t in
+  (* sym.(h).(m) = w_m(h); cnt.(h).(r) = |{m : w_m(h) = r}|. *)
+  let words = Array.init k (Params.codeword p) in
+  let sym = Array.init positions (fun h -> Array.init k (fun m -> words.(m).(h))) in
+  let cnt = Array.make_matrix positions q 0 in
+  Array.iteri
+    (fun h row -> Array.iter (fun r -> cnt.(h).(r) <- cnt.(h).(r) + 1) row)
+    sym;
+  (* Bit-gadget zero-bit counts per player, by row m₁ and by column m₂. *)
+  let zero =
+    match inputs with
+    | Some x -> fun i m1 m2 -> not (Commcx.Inputs.bit x ~player:i ((m1 * k) + m2))
+    | None -> fun _ _ _ -> false
   in
-  clique (a_nodes p ~offset);
-  for h = 0 to Params.positions p - 1 do
-    clique (code_clique p ~offset ~h)
-  done;
-  for m = 0 to Params.k p - 1 do
-    let vm = a_node p ~offset ~m in
-    let w = Params.codeword p m in
-    for h = 0 to Params.positions p - 1 do
-      for r = 0 to Params.q p - 1 do
-        if r <> w.(h) then B.add_edge b vm (sigma_node p ~offset ~h ~r)
+  let gadget = inputs <> None in
+  let zeros_row = Array.make (t * k) 0 and zeros_col = Array.make (t * k) 0 in
+  if gadget then
+    for i = 0 to t - 1 do
+      for m1 = 0 to k - 1 do
+        for m2 = 0 to k - 1 do
+          if zero i m1 m2 then begin
+            zeros_row.((i * k) + m1) <- zeros_row.((i * k) + m1) + 1;
+            zeros_col.((i * k) + m2) <- zeros_col.((i * k) + m2) + 1
+          end
+        done
       done
-    done
-  done;
-  if labels then begin
-    for m = 0 to Params.k p - 1 do
-      B.set_label b (a_node p ~offset ~m)
-        (Printf.sprintf "v%s_%d" copy_name (m + 1))
     done;
-    for h = 0 to Params.positions p - 1 do
-      for r = 0 to Params.q p - 1 do
-        B.set_label b
-          (sigma_node p ~offset ~h ~r)
-          (Printf.sprintf "s%s_(%d,%d)" copy_name (h + 1) (r + 1))
+  let degree v =
+    let c = v / size and rel = v mod size in
+    if rel < k then
+      let bits =
+        if not gadget then 0
+        else (if c mod 2 = 0 then zeros_row else zeros_col).((c / 2 * k) + rel)
+      in
+      bits + (k - 1) + (positions * (q - 1))
+    else
+      let h = (rel - k) / q and r = (rel - k) mod q in
+      (t * (q - 1)) + k - cnt.(h).(r)
+  in
+  (* C_h of copy c minus symbol r. *)
+  let clique_minus row c h r =
+    let base = (c * size) + k + (h * q) in
+    Row.push_range row base (base + r);
+    Row.push_range row (base + r + 1) (base + q)
+  in
+  let fill v row =
+    let c = v / size and rel = v mod size in
+    let off = c * size in
+    if rel < k then begin
+      let m = rel and i = c / sides in
+      if gadget && c mod 2 = 1 then
+        for m1 = 0 to k - 1 do
+          if zero i m1 m then Row.push row (off - size + m1)
+        done;
+      Row.push_range row off v;
+      Row.push_range row (v + 1) (off + k);
+      for h = 0 to positions - 1 do
+        clique_minus row c h sym.(h).(m)
+      done;
+      if gadget && c mod 2 = 0 then
+        for m2 = 0 to k - 1 do
+          if zero i m m2 then Row.push row (off + size + m2)
+        done
+    end
+    else begin
+      let h = (rel - k) / q and r = (rel - k) mod q in
+      let c' = ref (c mod sides) in
+      while !c' < c do
+        clique_minus row !c' h r;
+        c' := !c' + sides
+      done;
+      let s = sym.(h) in
+      for m = 0 to k - 1 do
+        if s.(m) <> r then Row.push row (off + m)
+      done;
+      clique_minus row c h r;
+      let c' = ref (c + sides) in
+      while !c' < copies do
+        clique_minus row !c' h r;
+        c' := !c' + sides
       done
-    done
-  end
+    end
+  in
+  Wgraph.Csr.of_rows ?shard ~weights (copies * size) ~degree ~fill
 
 let build_into p g ~offset ~copy_name =
   (* The clique A. *)

@@ -38,19 +38,25 @@ val node_kind : Params.t -> offset:int -> int -> [ `A of int | `Sigma of int * i
 (** Inverse of the layout within one copy: which role does a node play?
     Raises [Invalid_argument] if the node is outside the copy. *)
 
-val build_csr_into :
-  ?labels:bool ->
+val csr :
+  ?shard:(lo:int -> hi:int -> (int -> int -> unit) -> unit) ->
+  ?inputs:Commcx.Inputs.t ->
+  sides:int ->
+  weights:int array ->
   Params.t ->
-  Wgraph.Csr.Builder.t ->
-  offset:int ->
-  copy_name:string ->
-  unit
-(** CSR twin of [build_into], for large-n sweeps: identical edge set,
-    built directly (the codeword's own code nodes are skipped rather than
-    connected and removed).  Node labels are only materialized with
-    [~labels:true] (default off — they dominate build cost at n ≥ 10⁵).
-    test/test_csr.ml pins [Csr.equal] against [Csr.of_graph] of the
-    bitset construction. *)
+  Wgraph.Csr.t
+(** The closed-form CSR of both families, built by {!Wgraph.Csr.of_rows}
+    with no edge list and no sort: [sides·t] copies of [H], copy
+    [c = sides·i + b] (player [i], side [b]) at offset [c·copy_size].
+    Copies on the same side have their code cliques [C_h] joined by the
+    complement of the perfect matching.  With [sides = 2], [inputs]
+    (strings of length [k²]) adds player [i]'s bit gadget: the edge
+    [{v^{(i,0)}_{m₁}, v^{(i,1)}_{m₂}}] iff bit [m₁·k + m₂] is 0.
+    [sides = 1] is the linear family's [G], [sides = 2] the quadratic
+    family's [F] / [F_x̄]; [weights] has one entry per node.  [shard]
+    fills the rows across a domain pool (see {!Wgraph.Csr.of_rows}); the
+    result is bit-identical at any width.  Raises [Invalid_argument]
+    unless [sides] is 1 or 2, and 2 when [inputs] is given. *)
 
 val build_into : Params.t -> Wgraph.Graph.t -> offset:int -> copy_name:string -> unit
 (** Wire one copy of [H] into the graph at [offset]: the [A] clique, the

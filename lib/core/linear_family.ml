@@ -6,6 +6,8 @@ let copy_offset p i = i * Base_graph.copy_size p
 
 let n_nodes p = p.Params.players * Base_graph.copy_size p
 
+let partition_of p = Array.init (n_nodes p) (fun v -> v / Base_graph.copy_size p)
+
 (* Inter-copy code connections: for i < j and every position h, all edges
    between C^i_h and C^j_h except the natural perfect matching (Figure 2). *)
 let connect_copies p g =
@@ -27,59 +29,29 @@ let fixed p =
       ~copy_name:(Printf.sprintf "^%d" (i + 1))
   done;
   connect_copies p g;
-  let partition =
-    Array.init (n_nodes p) (fun v -> v / Base_graph.copy_size p)
-  in
-  (g, partition)
+  (g, partition_of p)
 
-(* CSR construction path: same node layout, same edge set, built without
-   the n²-bit adjacency matrix so Theorem-1 sweeps reach n in the 10⁵–10⁶
-   range. *)
+(* CSR construction path: same node layout, same edge set, rows written
+   in closed form by [Base_graph.csr] without the n²-bit adjacency
+   matrix, so Theorem-1 sweeps reach n in the 10⁵–10⁶ range. *)
 
-let connect_copies_csr p b =
-  let module B = Wgraph.Csr.Builder in
-  let t = p.Params.players in
-  for i = 0 to t - 1 do
-    for j = i + 1 to t - 1 do
-      for h = 0 to Params.positions p - 1 do
-        let xs = Base_graph.code_clique p ~offset:(copy_offset p i) ~h in
-        let ys = Base_graph.code_clique p ~offset:(copy_offset p j) ~h in
-        let q = Array.length xs in
-        for a = 0 to q - 1 do
-          for c = 0 to q - 1 do
-            if a <> c then B.add_edge b xs.(a) ys.(c)
-          done
-        done
-      done
-    done
-  done
-
-let fixed_csr ?(labels = false) ?shard p =
-  let b = Wgraph.Csr.Builder.create (n_nodes p) in
-  for i = 0 to p.Params.players - 1 do
-    Base_graph.build_csr_into ~labels p b ~offset:(copy_offset p i)
-      ~copy_name:(Printf.sprintf "^%d" (i + 1))
-  done;
-  connect_copies_csr p b;
-  let partition =
-    Array.init (n_nodes p) (fun v -> v / Base_graph.copy_size p)
-  in
-  (Wgraph.Csr.Builder.finish ?shard b, partition)
+let fixed_csr ?shard p =
+  let weights = Array.make (n_nodes p) 1 in
+  (Base_graph.csr ?shard ~sides:1 ~weights p, partition_of p)
 
 let instance_csr ?shard p x =
   if Inputs.t_players x <> p.Params.players then
     invalid_arg "Linear_family.instance_csr: wrong number of players";
   if x.Inputs.k <> Params.k p then
     invalid_arg "Linear_family.instance_csr: wrong string length";
-  let g, partition = fixed_csr ?shard p in
-  let size = Base_graph.copy_size p in
-  let weight_of v =
-    let i = v / size in
-    match Base_graph.node_kind p ~offset:(i * size) v with
-    | `A m -> if Inputs.bit x ~player:i m then Params.ell p else 1
-    | `Sigma _ -> 1
-  in
-  (Wgraph.Csr.reweight g weight_of, partition)
+  let weights = Array.make (n_nodes p) 1 in
+  for i = 0 to p.Params.players - 1 do
+    for m = 0 to Params.k p - 1 do
+      if Inputs.bit x ~player:i m then
+        weights.(Base_graph.a_node p ~offset:(copy_offset p i) ~m) <- Params.ell p
+    done
+  done;
+  (Base_graph.csr ?shard ~sides:1 ~weights p, partition_of p)
 
 let instance p x =
   if Inputs.t_players x <> p.Params.players then

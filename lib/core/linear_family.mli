@@ -29,27 +29,25 @@ val instance : Params.t -> Commcx.Inputs.t -> Family.instance
     strings of length [k]). *)
 
 val fixed_csr :
-  ?labels:bool ->
   ?shard:(lo:int -> hi:int -> (int -> int -> unit) -> unit) ->
   Params.t ->
   Wgraph.Csr.t * int array
-(** CSR twin of {!fixed}: identical edge set and partition, built through
-    {!Base_graph.build_csr_into} without the n²-bit adjacency matrix, so
-    Theorem-1 sweeps reach n in the 10⁵–10⁶ range.  Labels off by
-    default (they dominate build cost at scale); test/test_csr.ml pins
+(** CSR twin of {!fixed}: identical edge set and partition, with every row
+    written in closed form by {!Base_graph.csr} (no edge list, no sort,
+    no n²-bit adjacency matrix), so Theorem-1 sweeps reach n in the
+    10⁵–10⁶ range.  test/test_csr.ml pins
     [Csr.equal (fst (fixed_csr p)) (Csr.of_graph (fst (fixed p)))].
-    [shard] is forwarded to {!Wgraph.Csr.Builder.finish} to sort the
-    adjacency rows across a domain pool; the CSR is bit-identical at
-    any width. *)
+    [shard] is forwarded to {!Wgraph.Csr.of_rows} to fill the adjacency
+    rows across a domain pool; the CSR is bit-identical at any width. *)
 
 val instance_csr :
   ?shard:(lo:int -> hi:int -> (int -> int -> unit) -> unit) ->
   Params.t ->
   Commcx.Inputs.t ->
   Wgraph.Csr.t * int array
-(** CSR twin of {!instance}: the fixed CSR construction re-weighted (by
-    structure-sharing {!Wgraph.Csr.reweight}) according to the input
-    strings.  Same [Invalid_argument] conditions as {!instance}. *)
+(** CSR twin of {!instance}: the rows of {!fixed_csr} with the input
+    weights, built in the same single pass.  [shard] as in {!fixed_csr}.
+    Same [Invalid_argument] conditions as {!instance}. *)
 
 val property1_set : Params.t -> m:int -> Stdx.Bitset.t
 (** The set [(∪ᵢ Codeⁱ_m) ∪ {vⁱ_m | i}] of Property 1 — independent in

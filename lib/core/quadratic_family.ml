@@ -7,6 +7,9 @@ let copy_offset p ~player ~side =
 
 let n_nodes p = 2 * p.Params.players * Base_graph.copy_size p
 
+let partition_of p =
+  Array.init (n_nodes p) (fun v -> v / (2 * Base_graph.copy_size p))
+
 let string_length p = Params.k p * Params.k p
 
 let pair_index p ~m1 ~m2 =
@@ -48,84 +51,28 @@ let fixed p =
         (Base_graph.a_nodes p ~offset:(copy_offset p ~player:i ~side))
     done
   done;
-  let partition =
-    Array.init (n_nodes p) (fun v -> v / (2 * Base_graph.copy_size p))
-  in
-  (g, partition)
+  (g, partition_of p)
 
-(* CSR construction path: same node layout, same edge set, built without
-   the n²-bit adjacency matrix so Theorem-2 sweeps reach the same n range
-   as the linear family.  Unlike the linear family the instance is not a
-   pure reweighting — the inputs add A–A edges between the two sides —
-   so the input-dependent edges go into the builder before [finish]. *)
+(* CSR construction path: same node layout, same edge set, rows written
+   in closed form by [Base_graph.csr] without the n²-bit adjacency
+   matrix, so Theorem-2 sweeps reach the same n range as the linear
+   family.  Unlike the linear family the instance is not a pure
+   reweighting — the inputs add A–A edges between the two sides — so
+   the inputs go into the row description itself. *)
 
-let connect_side_csr p b ~side =
-  let module B = Wgraph.Csr.Builder in
-  let t = p.Params.players in
-  for i = 0 to t - 1 do
-    for j = i + 1 to t - 1 do
-      for h = 0 to Params.positions p - 1 do
-        let xs = Base_graph.code_clique p ~offset:(copy_offset p ~player:i ~side) ~h in
-        let ys = Base_graph.code_clique p ~offset:(copy_offset p ~player:j ~side) ~h in
-        let q = Array.length xs in
-        for a = 0 to q - 1 do
-          for c = 0 to q - 1 do
-            if a <> c then B.add_edge b xs.(a) ys.(c)
-          done
-        done
-      done
-    done
-  done
+let weights_csr p =
+  let size = Base_graph.copy_size p in
+  Array.init (n_nodes p) (fun v -> if v mod size < Params.k p then Params.ell p else 1)
 
-(* The fixed structure staged into a builder, shared by [fixed_csr] and
-   [instance_csr] (which must add its input edges before [finish]). *)
-let fixed_csr_builder ~labels p =
-  let b = Wgraph.Csr.Builder.create (n_nodes p) in
-  for i = 0 to p.Params.players - 1 do
-    for side = 0 to 1 do
-      Base_graph.build_csr_into ~labels p b
-        ~offset:(copy_offset p ~player:i ~side)
-        ~copy_name:(Printf.sprintf "^(%d,%d)" (i + 1) (side + 1))
-    done
-  done;
-  connect_side_csr p b ~side:0;
-  connect_side_csr p b ~side:1;
-  for i = 0 to p.Params.players - 1 do
-    for side = 0 to 1 do
-      Array.iter
-        (fun v -> Wgraph.Csr.Builder.set_weight b v (Params.ell p))
-        (Base_graph.a_nodes p ~offset:(copy_offset p ~player:i ~side))
-    done
-  done;
-  b
-
-let partition_csr p =
-  Array.init (n_nodes p) (fun v -> v / (2 * Base_graph.copy_size p))
-
-let fixed_csr ?(labels = false) ?shard p =
-  let b = fixed_csr_builder ~labels p in
-  (Wgraph.Csr.Builder.finish ?shard b, partition_csr p)
+let fixed_csr ?shard p =
+  (Base_graph.csr ?shard ~sides:2 ~weights:(weights_csr p) p, partition_of p)
 
 let instance_csr ?shard p x =
   if Inputs.t_players x <> p.Params.players then
     invalid_arg "Quadratic_family.instance_csr: wrong number of players";
   if x.Inputs.k <> string_length p then
     invalid_arg "Quadratic_family.instance_csr: wrong string length";
-  let b = fixed_csr_builder ~labels:false p in
-  let k = Params.k p in
-  for i = 0 to p.Params.players - 1 do
-    let off1 = copy_offset p ~player:i ~side:0
-    and off2 = copy_offset p ~player:i ~side:1 in
-    for m1 = 0 to k - 1 do
-      for m2 = 0 to k - 1 do
-        if not (Inputs.bit x ~player:i (pair_index p ~m1 ~m2)) then
-          Wgraph.Csr.Builder.add_edge b
-            (Base_graph.a_node p ~offset:off1 ~m:m1)
-            (Base_graph.a_node p ~offset:off2 ~m:m2)
-      done
-    done
-  done;
-  (Wgraph.Csr.Builder.finish ?shard b, partition_csr p)
+  (Base_graph.csr ?shard ~inputs:x ~sides:2 ~weights:(weights_csr p) p, partition_of p)
 
 let instance p x =
   if Inputs.t_players x <> p.Params.players then

@@ -34,16 +34,15 @@ val instance : Params.t -> Commcx.Inputs.t -> Family.instance
     mismatched inputs ([t] strings of length [k²]). *)
 
 val fixed_csr :
-  ?labels:bool ->
   ?shard:(lo:int -> hi:int -> (int -> int -> unit) -> unit) ->
   Params.t ->
   Wgraph.Csr.t * int array
-(** CSR twin of {!fixed}: identical edge set, weights and partition,
-    built without the n²-bit adjacency matrix so Theorem-2 sweeps reach
-    the same n range as the linear family.  [shard] is forwarded to
-    {!Wgraph.Csr.Builder.finish} to sort the adjacency rows across a
-    domain pool; the CSR is bit-identical at any width.
-    test/test_csr.ml pins
+(** CSR twin of {!fixed}: identical edge set, weights and partition, with
+    every row written in closed form by {!Base_graph.csr} (no edge list,
+    no sort, no n²-bit adjacency matrix), so Theorem-2 sweeps reach the
+    same n range as the linear family.  [shard] is forwarded to
+    {!Wgraph.Csr.of_rows} to fill the adjacency rows across a domain
+    pool; the CSR is bit-identical at any width.  test/test_csr.ml pins
     [Csr.equal (fst (fixed_csr p)) (Csr.of_graph (fst (fixed p)))]. *)
 
 val instance_csr :
@@ -51,10 +50,12 @@ val instance_csr :
   Params.t ->
   Commcx.Inputs.t ->
   Wgraph.Csr.t * int array
-(** CSR twin of {!instance}.  The input-dependent A–A edges go into the
-    builder before [finish] (unlike the linear family, a Theorem-2
-    instance is not a pure reweighting of its fixed graph).  Same
-    [Invalid_argument] conditions as {!instance}. *)
+(** CSR twin of {!instance}.  The input-dependent A–A edges are part of
+    the closed-form rows (unlike the linear family, a Theorem-2 instance
+    is not a pure reweighting of its fixed graph): each [A] row's degree
+    counts the zero bits of its row or column of the player's [k×k]
+    input.  [shard] as in {!fixed_csr}.  Same [Invalid_argument]
+    conditions as {!instance}. *)
 
 val expected_cut_size : Params.t -> int
 (** [2 · C(t,2) · (ℓ+α) · q(q−1)] — both copies' inter-player code

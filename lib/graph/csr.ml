@@ -183,6 +183,96 @@ module Builder = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Closed-form rows *)
+
+module Row = struct
+  type t = {
+    adj : int array;
+    size : int;
+    mutable node : int;  (* the row being filled *)
+    mutable pos : int;  (* next write in [adj] *)
+    mutable stop : int;  (* end of the row in [adj] *)
+    mutable last : int;  (* last entry written, -1 at row start *)
+  }
+
+  let fail r fmt =
+    Printf.ksprintf
+      (fun s -> invalid_arg (Printf.sprintf "Csr.of_rows: row %d: %s" r.node s))
+      fmt
+
+  (* Append [lo, hi): ascending after [last], in range, no self-loop,
+     within the row's degree. *)
+  let push_range r lo hi =
+    if lo < hi then begin
+      if lo < 0 || hi > r.size then
+        fail r "entry %d out of range [0, %d)" (if lo < 0 then lo else hi - 1) r.size;
+      if lo <= r.last then fail r "%d after %d is not ascending" lo r.last;
+      if lo <= r.node && r.node < hi then fail r "self-loop";
+      if r.pos + (hi - lo) > r.stop then fail r "longer than its degree";
+      let adj = r.adj and base = r.pos - lo in
+      for u = lo to hi - 1 do
+        adj.(base + u) <- u
+      done;
+      r.pos <- r.pos + (hi - lo);
+      r.last <- hi - 1
+    end
+
+  let push r u = push_range r u (u + 1)
+end
+
+let of_rows ?shard ~weights size ~degree ~fill =
+  if size < 0 then invalid_arg "Csr.of_rows: negative size";
+  if Array.length weights <> size then
+    invalid_arg "Csr.of_rows: weights length differs from the node count";
+  if Array.exists (fun w -> w < 0) weights then
+    invalid_arg "Csr.of_rows: negative weight";
+  let xadj = Array.make (size + 1) 0 in
+  for v = 0 to size - 1 do
+    let d = degree v in
+    if d < 0 then invalid_arg (Printf.sprintf "Csr.of_rows: row %d: negative degree" v);
+    xadj.(v + 1) <- xadj.(v) + d
+  done;
+  let adj = Array.make (max xadj.(size) 1) 0 in
+  (* Rows are disjoint slices of [adj], so the injected [shard] may fill
+     row ranges on separate domains; each range gets its own cursor.
+     [filled] flags every completed row, so a [shard] that skips part of
+     [0, size) is caught below instead of leaving zeros behind. *)
+  let filled = Bytes.make size '\000' in
+  let fill_rows lo hi =
+    let r = { Row.adj; size; node = lo; pos = 0; stop = 0; last = -1 } in
+    for v = lo to hi - 1 do
+      r.node <- v;
+      r.pos <- xadj.(v);
+      r.stop <- xadj.(v + 1);
+      r.last <- -1;
+      fill v r;
+      if r.pos <> r.stop then Row.fail r "shorter than its degree";
+      Bytes.unsafe_set filled v '\001'
+    done
+  in
+  (match shard with
+  | None -> fill_rows 0 size
+  | Some run -> run ~lo:0 ~hi:size fill_rows);
+  if Bytes.contains filled '\000' then
+    invalid_arg
+      (Printf.sprintf "Csr.of_rows: row %d was never filled" (Bytes.index filled '\000'));
+  (* Symmetry in one sequential pass.  Visiting [v] in ascending order
+     consumes each row [u] in ascending order too, so when the graph is
+     symmetric [u]'s cursor points at [v] exactly when [u] appears in row
+     [v].  Every entry is consumed once, so no final sweep is needed. *)
+  let cursor = Array.copy xadj in
+  for v = 0 to size - 1 do
+    for i = xadj.(v) to xadj.(v + 1) - 1 do
+      let u = adj.(i) in
+      let c = cursor.(u) in
+      if c >= xadj.(u + 1) || adj.(c) <> v then
+        invalid_arg (Printf.sprintf "Csr.of_rows: edge %d-%d is one-sided" v u);
+      cursor.(u) <- c + 1
+    done
+  done;
+  { size; xadj; adj; weights = Array.copy weights; labels = None }
+
+(* ------------------------------------------------------------------ *)
 (* Conversion *)
 
 let of_graph g =

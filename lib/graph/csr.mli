@@ -10,10 +10,12 @@
     builders reach n in the 10⁵–10⁶ range (see docs/PERF.md).
 
     A CSR graph is immutable once built: construct through {!Builder}
-    (or convert with {!of_graph}) and share freely.  Conversion both
-    ways is total and exact — [to_graph (of_graph g)] equals [g] up to
-    labels, and every accessor agrees with its {!Graph} counterpart;
-    [test/test_csr.ml] pins that equivalence property-by-property.
+    from an edge list, through {!of_rows} when every row is known in
+    closed form (the gadget families), or convert with {!of_graph}; then
+    share freely.  Conversion both ways is total and exact —
+    [to_graph (of_graph g)] equals [g] up to labels, and every accessor
+    agrees with its {!Graph} counterpart; [test/test_csr.ml] pins that
+    equivalence property-by-property.
 
     Node labels are materialized lazily: a fresh CSR graph answers
     {!label} with the node index without allocating n strings. *)
@@ -51,14 +53,54 @@ module Builder : sig
       builder may keep accumulating edges afterwards; a later [finish]
       produces a fresh snapshot.
 
-      [shard] parallelizes the row-sorting pass — the dominant cost at
-      gadget scale.  It receives the node range [0, n) and a body that
+      [shard] parallelizes the row-sorting pass — the dominant cost on
+      dense rows.  It receives the node range [0, n) and a body that
       sorts the disjoint rows [lo, hi); pass
       [fun ~lo ~hi f -> Exec.Pool.run_range pool ~lo ~hi f] to fan the
       rows across a domain pool (this library deliberately has no
       [exec] dependency — the executor is injected).  The resulting CSR
       is bit-identical with or without sharding, at any width. *)
 end
+
+module Row : sig
+  type t
+  (** The cursor {!of_rows} hands to [fill]: one row, written ascending. *)
+
+  val push : t -> int -> unit
+  (** Append one neighbor. *)
+
+  val push_range : t -> int -> int -> unit
+  (** [push_range r lo hi] appends every node of [[lo, hi)] (nothing when
+      [hi <= lo]).  Both pushes raise [Invalid_argument] when an entry is
+      out of range, is the row's own node, is not above the previous
+      entry, or would overfill the row's declared degree. *)
+end
+
+val of_rows :
+  ?shard:(lo:int -> hi:int -> (int -> int -> unit) -> unit) ->
+  weights:int array ->
+  int ->
+  degree:(int -> int) ->
+  fill:(int -> Row.t -> unit) ->
+  t
+(** [of_rows ~weights n ~degree ~fill] builds a graph whose rows are
+    known in closed form, with no edge list and no sort: [degree v] is
+    row [v]'s length (prefix-summed into the offsets), and [fill v r]
+    writes row [v] ascending straight into the neighbors array through
+    [r].  [weights] (length [n], copied) gives the node weights; labels
+    are the node indices.  O(n + m).
+
+    Every guarantee of {!Builder} is checked, and a violation raises
+    [Invalid_argument]: weights non-negative; each row filled to exactly
+    its degree, strictly ascending, in range and free of self-loops
+    (checked by {!Row} as it is written); and the graph symmetric, proved
+    by one sequential cursor pass over the rows.
+
+    [shard] parallelizes the fill, as in {!Builder.finish}: it receives
+    the node range [0, n) and a body that fills the disjoint rows
+    [lo, hi); an exception raised by [fill] propagates out of [shard].
+    The result is bit-identical with or without sharding, at any width,
+    and {!equal} to a {!Builder} graph with the same edges. *)
 
 val of_graph : Graph.t -> t
 (** Exact conversion, weights and labels included.  O(n + m) thanks to
@@ -106,8 +148,7 @@ val iter_nodes : (int -> unit) -> t -> unit
 
 val reweight : t -> (int -> int) -> t
 (** [reweight g f] is a graph with weight [f v] at every node, sharing
-    [g]'s structure arrays — O(n), no copy of the edge data.  This is how
-    gadget instances re-weight the fixed construction. *)
+    [g]'s structure arrays — O(n), no copy of the edge data. *)
 
 (** {1 Comparison, sizing, formatting} *)
 

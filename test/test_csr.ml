@@ -518,6 +518,210 @@ let test_quadratic_instance_csr_matches () =
       let c2, _ = Maxis_core.Quadratic_family.instance_csr ~shard p x in
       check "sharded instance equal" true (Csr.equal c c2))
 
+(* ------------------------------------------------------------------ *)
+(* Closed-form rows: Csr.of_rows *)
+
+(* [of_rows] over explicit adjacency lists, each row pushed one entry at
+   a time. *)
+let of_lists ?shard ?degree rows =
+  let n = Array.length rows in
+  let degree = Option.value degree ~default:(fun v -> Array.length rows.(v)) in
+  Csr.of_rows ?shard ~weights:(Array.make n 1) n ~degree
+    ~fill:(fun v r -> Array.iter (Csr.Row.push r) rows.(v))
+
+(* [f] raises [Invalid_argument] naming the violated check [why]. *)
+let rejects name why f =
+  let mentions msg =
+    let n = String.length why in
+    let rec at i = i + n <= String.length msg && (String.sub msg i n = why || at (i + 1)) in
+    at 0
+  in
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" name
+  | exception Invalid_argument msg ->
+      if not (mentions msg) then Alcotest.failf "%s: wrong rejection %S" name msg
+
+let test_of_rows_rejects () =
+  let path = [| [| 1 |]; [| 0; 2 |]; [| 1 |] |] in
+  check "path accepted" true
+    (Csr.equal (of_lists path) (Csr.of_graph (Build.path 3)));
+  rejects "short fill" "shorter than its degree" (fun () ->
+      of_lists ~degree:(fun v -> if v = 1 then 3 else Array.length path.(v)) path);
+  rejects "long fill" "longer than its degree" (fun () ->
+      of_lists ~degree:(fun v -> if v = 1 then 1 else Array.length path.(v)) path);
+  rejects "unsorted row" "not ascending" (fun () ->
+      of_lists [| [| 1 |]; [| 2; 0 |]; [| 1 |] |]);
+  rejects "duplicate" "not ascending" (fun () -> of_lists [| [| 1; 1 |]; [| 0; 0 |] |]);
+  rejects "self-loop" "self-loop" (fun () -> of_lists [| [| 0; 1 |]; [| 0 |] |]);
+  rejects "out of range" "out of range" (fun () -> of_lists [| [| 1 |]; [| 0; 2 |] |]);
+  rejects "negative entry" "out of range" (fun () -> of_lists [| [| -1; 1 |]; [| 0 |] |]);
+  rejects "one-sided edge" "one-sided" (fun () ->
+      of_lists [| [| 1; 2 |]; [| 0 |]; [||] |]);
+  rejects "one-sided edge, other way" "one-sided" (fun () ->
+      of_lists [| [| 1 |]; [| 0 |]; [| 0 |] |]);
+  rejects "range over self" "self-loop" (fun () ->
+      Csr.of_rows ~weights:[| 1; 1; 1 |] 3
+        ~degree:(fun _ -> 2)
+        ~fill:(fun v r -> if v = 0 then Csr.Row.push_range r 0 2));
+  rejects "negative weight" "negative weight" (fun () ->
+      Csr.of_rows ~weights:[| -1 |] 1 ~degree:(fun _ -> 0) ~fill:(fun _ _ -> ()));
+  rejects "shard skipping rows" "never filled" (fun () ->
+      of_lists ~shard:(fun ~lo ~hi f -> f lo (hi - 1)) path)
+
+exception Fill_failed of int
+
+let test_of_rows_shard_raises () =
+  let rows = Array.init 12 (fun v -> [| (v + 1) mod 12; (v + 11) mod 12 |]) in
+  Array.iter (Array.sort compare) rows;
+  List.iter
+    (fun pool ->
+      let shard ~lo ~hi f = Exec.Pool.run_range pool ~lo ~hi f in
+      match
+        Csr.of_rows ~shard ~weights:(Array.make 12 1) 12
+          ~degree:(fun v -> Array.length rows.(v))
+          ~fill:(fun v r ->
+            if v = 9 then raise (Fill_failed v);
+            Array.iter (Csr.Row.push r) rows.(v))
+      with
+      | _ -> Alcotest.fail "fill exception swallowed"
+      | exception Fill_failed 9 -> ())
+    (Lazy.force par_pools)
+
+(* Random graphs through [of_rows]: equal to [of_graph], and identical at
+   shard widths 1, 2 and 3.  Rows alternate single pushes with maximal
+   [push_range] runs. *)
+let of_rows_matches =
+  QCheck.Test.make ~name:"of_rows = of_graph at widths 1-3" ~count:80
+    QCheck.(pair small_int small_int)
+    (fun (seed, nn) ->
+      let g = random_graph seed nn in
+      let o = Csr.of_graph g in
+      let n = Csr.n o in
+      let fill v r =
+        let row = Csr.neighbors_array o v in
+        let i = ref 0 in
+        while !i < Array.length row do
+          let j = ref (!i + 1) in
+          while !j < Array.length row && row.(!j) = row.(!j - 1) + 1 do
+            incr j
+          done;
+          if !i mod 2 = 0 then Csr.Row.push_range r row.(!i) (row.(!j - 1) + 1)
+          else for x = !i to !j - 1 do Csr.Row.push r row.(x) done;
+          i := !j
+        done
+      in
+      let build ?shard () =
+        Csr.of_rows ?shard ~weights:(Array.init n (Csr.weight o)) n
+          ~degree:(Csr.degree o) ~fill
+      in
+      let seq = build () in
+      Csr.equal seq o
+      && List.for_all
+           (fun pool ->
+             Exec.Pool.jobs pool > 3
+             || Csr.equal seq
+                  (build ~shard:(fun ~lo ~hi f -> Exec.Pool.run_range pool ~lo ~hi f) ()))
+           (Lazy.force par_pools))
+
+(* ------------------------------------------------------------------ *)
+(* Gadget parity against the dense oracle at a grid of points *)
+
+module LF = Maxis_core.Linear_family
+module QF = Maxis_core.Quadratic_family
+module Family = Maxis_core.Family
+
+(* Promise inputs at any [k ≥ 1]: every index goes to at most one player,
+   plus (intersecting) one index shared by all. *)
+let promise_inputs seed ~k ~t ~intersecting =
+  let rng = Prng.create seed in
+  let owner = Array.init k (fun _ -> Prng.int rng (t + 1)) in
+  let common = if intersecting then Prng.int rng k else -1 in
+  Commcx.Inputs.of_bit_lists ~k
+    (List.init t (fun i ->
+         List.filter (fun j -> j = common || owner.(j) = i) (List.init k Fun.id)))
+
+(* The CSR instance equals [Csr.of_graph] of the bitset instance in
+   structure, weights and partition, unsharded and at jobs 1, 2 and 3. *)
+let check_parity name (inst : Family.instance) build =
+  let o = Csr.of_graph inst.Family.graph in
+  let n = Csr.n o in
+  let unweighted c = Csr.reweight c (fun _ -> 1) in
+  let weights c = Array.init (Csr.n c) (Csr.weight c) in
+  let c, part = build None in
+  check (name ^ " structure") true (Csr.n c = n && Csr.equal (unweighted c) (unweighted o));
+  check (name ^ " weights") true (weights c = weights o);
+  check (name ^ " partition") true (part = inst.Family.partition);
+  List.iter
+    (fun pool ->
+      if Exec.Pool.jobs pool <= 3 then begin
+        let shard ~lo ~hi f = Exec.Pool.run_range pool ~lo ~hi f in
+        let c', part' = build (Some shard) in
+        check
+          (Printf.sprintf "%s jobs=%d" name (Exec.Pool.jobs pool))
+          true
+          (Csr.equal c c' && part = part')
+      end)
+    (Lazy.force par_pools)
+
+let linear_parity p ~intersecting =
+  let t = p.Maxis_core.Params.players in
+  let x = promise_inputs (Hashtbl.hash (t, "lin")) ~k:(Maxis_core.Params.k p) ~t ~intersecting in
+  check_parity
+    (Format.asprintf "linear %a %b" Maxis_core.Params.pp p intersecting)
+    (LF.instance p x)
+    (fun shard -> LF.instance_csr ?shard p x)
+
+let quadratic_parity p ~intersecting =
+  let t = p.Maxis_core.Params.players in
+  let x = promise_inputs (Hashtbl.hash (t, "quad")) ~k:(QF.string_length p) ~t ~intersecting in
+  check_parity
+    (Format.asprintf "quadratic %a %b" Maxis_core.Params.pp p intersecting)
+    (QF.instance p x)
+    (fun shard -> QF.instance_csr ?shard p x)
+
+let test_linear_parity_grid () =
+  List.iter
+    (fun ell ->
+      List.iter
+        (fun players ->
+          let p = Maxis_core.Params.make ~alpha:1 ~ell ~players in
+          linear_parity p ~intersecting:true;
+          linear_parity p ~intersecting:false;
+          let g, part = LF.fixed p and c, part' = LF.fixed_csr p in
+          check "linear fixed_csr" true (Csr.equal c (Csr.of_graph g) && part = part'))
+        [ 2; 3; 4 ])
+    [ 2; 3; 4; 6 ]
+
+let test_quadratic_parity_grid () =
+  List.iter
+    (fun ell ->
+      List.iter
+        (fun players ->
+          let p = Maxis_core.Params.make ~alpha:1 ~ell ~players in
+          quadratic_parity p ~intersecting:true;
+          quadratic_parity p ~intersecting:false;
+          let g, part = QF.fixed p and c, part' = QF.fixed_csr p in
+          check "quadratic fixed_csr" true (Csr.equal c (Csr.of_graph g) && part = part'))
+        [ 2; 3 ])
+    [ 2; 3; 4 ]
+
+(* The largest players = 2 point with at most 5·10³ nodes, per family. *)
+let gadget_dense nodes =
+  let rec grow ell =
+    let p = Maxis_core.Params.make ~alpha:1 ~ell:(ell + 1) ~players:2 in
+    if nodes p > 5_000 then Maxis_core.Params.make ~alpha:1 ~ell ~players:2
+    else grow (ell + 1)
+  in
+  grow 2
+
+let test_gadget_dense_parity () =
+  let lp = gadget_dense LF.n_nodes and qp = gadget_dense QF.n_nodes in
+  List.iter
+    (fun intersecting ->
+      linear_parity lp ~intersecting;
+      quadratic_parity qp ~intersecting)
+    [ true; false ]
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -564,5 +768,17 @@ let () =
             test_quadratic_csr_matches;
           Alcotest.test_case "quadratic instance_csr" `Quick
             test_quadratic_instance_csr_matches;
+        ] );
+      ( "of_rows",
+        [
+          Alcotest.test_case "rejects malformed rows" `Quick test_of_rows_rejects;
+          Alcotest.test_case "sharded fill raises" `Quick test_of_rows_shard_raises;
+          QCheck_alcotest.to_alcotest of_rows_matches;
+        ] );
+      ( "gadget-parity",
+        [
+          Alcotest.test_case "linear grid" `Quick test_linear_parity_grid;
+          Alcotest.test_case "quadratic grid" `Quick test_quadratic_parity_grid;
+          Alcotest.test_case "gadget-dense point" `Quick test_gadget_dense_parity;
         ] );
     ]

@@ -120,6 +120,54 @@ let test_list_alloc_per_message () =
   if per_msg > 60.0 then
     Alcotest.failf "list-mode path allocates %.1f minor words/message" per_msg
 
+(* Gadget construction writes its CSR rows in closed form: apart from the
+   result itself ([Csr.resident_words]: offsets, neighbors, weights) it
+   allocates only O(n) words — the input weights, the partition, the
+   symmetry cursors, the row flags and the per-build codeword tables.  An
+   edge list (two arrays of m entries) or a second neighbors array (2m
+   entries) would overshoot this by a multiple of the slack at any point
+   whose rows have degree in the tens. *)
+let slack_words_per_node = 8
+let slack_words = 1024
+
+(* Words allocated by [f ()], minor and major: the flanking minor
+   collections flush the minor heap, so the counters are exact. *)
+let words_allocated f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let test_gadget_build_alloc () =
+  let module P = Maxis_core.Params in
+  let p = P.make ~alpha:1 ~ell:10 ~players:3 in
+  let rng = Stdx.Prng.create 19 in
+  let lx = Commcx.Inputs.gen_promise rng ~k:(P.k p) ~t:3 ~intersecting:true in
+  let qx =
+    Commcx.Inputs.gen_promise rng
+      ~k:(Maxis_core.Quadratic_family.string_length p)
+      ~t:3 ~intersecting:false
+  in
+  List.iter
+    (fun (name, build) ->
+      ignore (build ());
+      let (c, _), words = words_allocated build in
+      let bound =
+        Csr.resident_words c + (slack_words_per_node * Csr.n c) + slack_words
+      in
+      if words > float_of_int bound then
+        Alcotest.failf
+          "%s instance_csr (n=%d, m=%d) allocates %.0f words, over %d = \
+           resident %d + %d·n + %d: an edge list or adjacency copy is back"
+          name (Csr.n c) (Csr.edge_count c) words bound (Csr.resident_words c)
+          slack_words_per_node slack_words)
+    [
+      ("linear", fun () -> Maxis_core.Linear_family.instance_csr p lx);
+      ("quadratic", fun () -> Maxis_core.Quadratic_family.instance_csr p qx);
+    ]
+
 let () =
   Alcotest.run "perf_guard"
     [
@@ -131,5 +179,7 @@ let () =
             test_par_stage_alloc_per_round;
           Alcotest.test_case "list mode stays linear" `Quick
             test_list_alloc_per_message;
+          Alcotest.test_case "gadget build is O(n + m)" `Quick
+            test_gadget_build_alloc;
         ] );
     ]
