@@ -5,7 +5,8 @@
 
    - an algorithm sweep — flood (max-id), BFS distances, and Luby MIS on
      sparse random CSR graphs, executed through the allocation-free
-     [Runtime.run_flat] with [Trace.Light] streaming accumulators.  The
+     flat round loop as one shard ([Runtime.run_flat]) with
+     [Trace.Light] streaming accumulators.  The
      verdict table (rounds, messages, bits, halted) is deterministic for
      a given size gate and lands on stdout; wall-clock throughput goes
      to stderr, results/largen.csv and BENCH_largen.json, never stdout;
@@ -198,7 +199,8 @@ let run () =
      path ({!Baseline.run}: per-send records, hashtable bandwidth
      bookkeeping, cons-and-sort delivery), the current list-mode arena
      ({!Runtime.run}, byte-identical outputs to seed), and the flat
-     large-n path ({!Runtime.run_flat}).  Best-of-3 walls; outputs are
+     large-n path (the flat round loop as one shard,
+     {!Runtime.run_flat}).  Best-of-3 walls; outputs are
      asserted identical across all three. *)
   let speedup =
     if max_n < 10_000 then None

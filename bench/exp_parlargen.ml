@@ -1,11 +1,14 @@
-(* Experiment PARLARGEN: the domain-sharded flat runtime
-   ([Runtime.run_flat_par]) against sequential [run_flat] at n in the
-   10³–10⁵(10⁶) range, across pool widths.
+(* Experiment PARLARGEN: the flat round loop sharded across a domain
+   pool ([Runtime.run_flat_par]) against its one-shard run without a
+   pool ([run_flat]) at n in the 10³–10⁵(10⁶) range, across pool
+   widths.  Both run the same loop, so the parity columns check the
+   sharded merge, not a second implementation; list-mode parity is
+   pinned in test/test_csr.ml.
 
    Three legs:
 
    - an algorithm sweep — flood, BFS and Luby on the same sparse random
-     CSR graphs as LARGEN, run once sequentially and then at every
+     CSR graphs as LARGEN, run once without a pool and then at every
      width in [jobs_widths].  Outputs, round counts and Light-trace
      digests are asserted byte-identical at every width; the
      deterministic parity table lands on stdout, wall-clock and the
@@ -65,7 +68,7 @@ let config rounds =
 type row = {
   r_n : int;
   r_algo : string;
-  r_jobs : int;  (* 0 = sequential run_flat reference *)
+  r_jobs : int;  (* 0 = run_flat: one shard, no pool *)
   r_rounds : int;
   r_messages : int;
   r_bits : int;

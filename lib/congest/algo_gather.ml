@@ -88,10 +88,10 @@ let gather ~m ~solve =
 
 let exact_maxis ~m = gather ~m ~solve:(fun g -> (Mis.Exact.solve g).Mis.Exact.weight)
 
-(* Flat port for the sharded executors.  Facts travel as one packed int —
-   kind at bit 3·idw, then a (idw bits), then b (2·idw bits) — under
-   [Fastpath.tag_int], with the same 1 + 3·idw bit charge as the
-   list-mode [Msg.triple_msg].  Per-round message counts, round counts
+(* Flat port, for the flat executor at any shard count.  Facts travel as
+   one packed int — kind at bit 3·idw, then a (idw bits), then b
+   (2·idw bits) — under [Fastpath.tag_int], with the same 1 + 3·idw bit
+   charge as the list-mode [Msg.triple_msg].  Per-round message counts, round counts
    and outputs are order-independent (a node's log grows by the set of
    new facts, and cursors advance one fact per neighbor per round), so
    the simulation report built on this port matches the list-mode one

@@ -36,7 +36,7 @@ val gather_flat :
     counts and outputs are identical to the list-mode program (learning
     order is the only thing that may differ, and nothing observable
     depends on it).  The fact log itself still allocates — the flat
-    executors' zero-allocation guarantee covers delivery, not program
+    executor's zero-allocation guarantee covers delivery, not program
     state. *)
 
 val exact_maxis_flat : m:int -> int Fastpath.t

@@ -4,10 +4,11 @@
    a cons cell, a tuple and a [Msg.t] record per message, which is what
    dominates runtime at n ≥ 10⁵.  A flat program exchanges messages as
    (src, tag, bits, word) int quads staged in preallocated buffers the
-   executor ([Runtime.run_flat]) reuses across rounds, so a settled run
-   allocates nothing per round.  The three library algorithms below are
-   exact ports of their list-mode versions — same message bits, same PRNG
-   draw conditions — pinned against each other by test/test_csr.ml. *)
+   flat executor ([Runtime.run_flat] / [run_flat_par]) reuses across
+   rounds, so a settled run allocates nothing per round.  The three
+   library algorithms below are exact ports of their list-mode versions
+   — same message bits, same PRNG draw conditions — pinned against each
+   other by test/test_csr.ml. *)
 
 (* Tag conventions (mirroring the [Msg.payload] cases the ported
    algorithms use). *)
@@ -18,7 +19,7 @@ let tag_false = 2
 (* Inbox entries are interleaved (src, tag, word) triples in one backing
    array: one packed access touches one cache line where three parallel
    arrays would touch three.  [i_off] lets an inbox be a window into a
-   shared delivery arena — [Runtime.run_flat] counting-sorts each
+   shared delivery arena — the flat executor counting-sorts each
    round's messages into one contiguous buffer and steps every node
    through a single reused view, so there are no per-node inbox
    structures at all.  A standalone inbox (as [make_inbox] returns, and
@@ -54,8 +55,8 @@ let grow a len =
   a'
 
 (* The only unsafe array accesses in the library live in these two
-   staging functions and the [Runtime.run_flat] loop that drains them:
-   the grow check just above each write puts the index in range by
+   staging functions and the flat round loop in [Runtime] that drains
+   them: the grow check just above each write puts the index in range by
    construction, and at 10⁷–10⁸ messages per sweep the bounds checks are
    a measurable slice of the whole run. *)
 
@@ -63,20 +64,6 @@ let grow3 a len =
   (* Capacity stays a multiple of 3 (24, 48, 96, ...), so a full buffer
      is detected by [base = length] exactly. *)
   let a' = Array.make (max 24 (2 * Array.length a)) 0 in
-  Array.blit a 0 a' 0 len;
-  a'
-
-(* Same contract for the executor's stride-4 staging buffer. *)
-let grow4 a len =
-  let a' = Array.make (max 32 (2 * Array.length a)) 0 in
-  Array.blit a 0 a' 0 len;
-  a'
-
-(* And for the sharded executor's stride-5 staging buffers, which keep
-   each message's bit size alongside the quad so the trace can be
-   recorded after the parallel phase. *)
-let grow5 a len =
-  let a' = Array.make (max 40 (2 * Array.length a)) 0 in
   Array.blit a 0 a' 0 len;
   a'
 

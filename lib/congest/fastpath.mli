@@ -3,9 +3,11 @@
     {!Program.step} speaks in [(int * Msg.t) list], which allocates a
     cons cell, a tuple and a [Msg.t] record per message per round — the
     dominant cost at n ≥ 10⁵.  A flat program stages messages as
-    [(src, tag, bits, word)] int quads in preallocated buffers that
-    {!Runtime.run_flat} reuses across rounds: once buffer sizes settle, a
-    round allocates nothing.  test/test_perf_guard.ml pins that.
+    [(src, tag, bits, word)] int quads in preallocated buffers that the
+    flat executor ({!Runtime.run_flat}, or {!Runtime.run_flat_par} for
+    the same round loop sharded across domains) reuses across rounds:
+    once buffer sizes settle, a round allocates nothing.
+    test/test_perf_guard.ml pins that.
 
     The ports below are exact mirrors of the list-mode algorithms — same
     message bits, same PRNG draw conditions — so [run_flat] on a CSR
@@ -16,7 +18,7 @@
     Inbox order is ascending sender, ties in emit order; the three
     library algorithms are order-insensitive, and new flat programs
     should be too.  Fault plans and [Broadcast] mode stay on the
-    list-mode path ({!Runtime.run_flat} rejects both). *)
+    list-mode path (the flat executor rejects both). *)
 
 (** {1 Message tags} *)
 
@@ -71,16 +73,6 @@ val emit : emitter -> dst:int -> tag:int -> bits:int -> word:int -> unit
 val push_inbox : inbox -> src:int -> tag:int -> word:int -> unit
 (** Append one (src, tag, word) entry; used by tests to build inboxes by
     hand (the executor delivers via its own counting-sort arena). *)
-
-val grow4 : int array -> int -> int array
-(** Double a stride-4 staging buffer (capacity stays a multiple of 4),
-    preserving the first [len] slots.  For {!Runtime.run_flat}. *)
-
-val grow5 : int array -> int -> int array
-(** Double a stride-5 staging buffer (capacity stays a multiple of 5):
-    the sharded executor ({!Runtime.run_flat_par}) stages
-    (dst, src, tag, word, bits) quints so trace recording can happen
-    after the parallel phase. *)
 
 (** {1 Programs} *)
 

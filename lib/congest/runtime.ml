@@ -482,17 +482,74 @@ let run_csr_checked ?(config = default_config) ?trace
    No cons lists, no tuples, no [Msg.t] on the per-round path — messages
    live in preallocated int buffers, counting-sorted into one shared
    delivery arena per round.  Fault plans and [Broadcast] mode keep to
-   the list-mode executor. *)
+   the list-mode executor.
 
-let run_flat ?(config = default_config) ?trace (fp : 'out Fastpath.t) c =
+   One round loop serves both entry points: [run_flat] runs it as a
+   single shard, [run_flat_par] partitions every per-node and
+   per-destination phase of the round across an [Exec.Pool] via
+   {!Exec.Pool.run_range}.  The delivered inbox windows — and therefore
+   outputs, round counts and trace digests — are byte-identical at every
+   shard count.  The determinism argument (docs/PERF.md):
+
+   - node [v] always lives in the same chunk (the node range splits the
+     same way every call), and every chunk owns private staging,
+     tallies, bandwidth book and emitter — no cross-domain writes;
+   - the merge assembles per-destination windows as
+     [offs.(d) + Σ_{s' < s} counts_{s'}(d)]: shard segments concatenate
+     in ascending shard = ascending source order, which is the
+     (src asc, emit order) layout of a sequential counting sort;
+   - shard 0 records its sends into the trace inline, as it stages them
+     — it is the only shard that touches the trace during the stage
+     phase — and shards ≥ 1 are recorded on the calling domain in
+     ascending shard order after the barrier, so the trace sees the
+     sequential event sequence (the Light digest is an order-sensitive
+     fold, so it cannot be parallelized);
+   - spawning stays sequential: PRNG splitting is one master stream.
+
+   A round runs four phases, each a barrier when sharded: (1) stage —
+   each shard steps its nodes against the previous round's windows and
+   stages (dst, src, tag, word) quads; (2) prefix pass A — each shard of
+   the destination range turns the per-shard tallies into within-column
+   prefixes and computes its chunk total, with the chunk bases then
+   prefix-summed sequentially (O(shards)); (3) prefix pass B — writes
+   the global windows and lifts the within-column prefixes to absolute
+   write cursors; (4) scatter — each shard copies its staged quads into
+   its (disjoint) arena slots.  Without a pool the phases are direct
+   calls over the whole node range.
+
+   A chunk is never re-run (it mutates node state and PRNG streams in
+   place).  A model violation (oversend / non-neighbor) or an exception
+   raised by the program itself records the trace prefix sequential
+   execution reaches — every staged message of lower shards plus the
+   failing shard's prefix — before re-raising, so checked drivers see
+   identical post-mortem traces at every width. *)
+
+(* Per-shard hot tallies are spread [shard_pad] ints apart so two
+   domains never bump the same cache line. *)
+let shard_pad = 8
+
+(* Double a stride-[k] staging buffer, preserving its first [len] slots.
+   Capacity stays a multiple of [k], so a full buffer is detected by
+   [base = length] exactly. *)
+let grow_stage k a len =
+  let a' = Array.make (max (8 * k) (2 * Array.length a)) 0 in
+  Array.blit a 0 a' 0 len;
+  a'
+
+let flat ~who ?pool ?alloc_probe ~config ~trace (fp : 'out Fastpath.t) c =
   (match config.faults with
   | Some _ ->
-      invalid_arg "Runtime.run_flat: fault plans need the list-mode runtime"
+      invalid_arg ("Runtime." ^ who ^ ": fault plans need the list-mode runtime")
   | None -> ());
   if config.mode = Broadcast then
-    invalid_arg "Runtime.run_flat: Broadcast mode needs the list-mode runtime";
-  let trace = make_trace trace in
+    invalid_arg
+      ("Runtime." ^ who ^ ": Broadcast mode needs the list-mode runtime");
   let n = Csr.n c in
+  let jobs = match pool with None -> 1 | Some p -> Exec.Pool.jobs p in
+  (match alloc_probe with
+  | Some p when Array.length p < jobs ->
+      invalid_arg ("Runtime." ^ who ^ ": alloc_probe shorter than pool width")
+  | _ -> ());
   Obs.Metrics.set g_graph_words (Csr.resident_words c);
   let limit = bandwidth_bits config ~n in
   let mx = metrics_for fp.Fastpath.fname in
@@ -500,248 +557,6 @@ let run_flat ?(config = default_config) ?trace (fp : 'out Fastpath.t) c =
   let master_rng = Stdx.Prng.create config.seed in
   (* Same spawn order and PRNG splitting as the list-mode executor, so a
      faithful flat port is output-identical under any seed. *)
-  let spawn v =
-    let view =
-      {
-        Program.id = v;
-        n;
-        weight = Csr.weight c v;
-        neighbors = Csr.neighbors_array c v;
-        rng = Stdx.Prng.split master_rng;
-      }
-    in
-    fp.Fastpath.fspawn view
-  in
-  let instances =
-    let rec build v acc =
-      if v = n then List.rev acc else build (v + 1) (spawn v :: acc)
-    in
-    Array.of_list (build 0 [])
-  in
-  (* Delivery is a per-round counting sort into one shared arena: sends
-     are appended sequentially to [stage] as (dst, src, tag, word) quads
-     while [counts] tallies per-destination totals; at round end a
-     prefix sum turns the tallies into arena windows and one scatter
-     pass groups the triples by destination.  Every node then reads its
-     messages through the single reused [view] — no per-node inbox
-     structures exist at all, and the only random memory access per
-     message is the one arena write (measurably faster than scattering
-     into 2n per-node buffers, and O(n + messages) memory instead of 2n
-     growable buffers at n = 10⁶). *)
-  let stage = ref [||] in
-  let stage_len = ref 0 in
-  let arena = ref [||] in
-  let counts = Array.make (max n 1) 0 in
-  let offs = Array.make (max n 1 + 1) 0 in
-  let cursor = Array.make (max n 1) 0 in
-  let view = Fastpath.make_inbox () in
-  let em = Fastpath.make_emitter () in
-  (* Per-destination bookkeeping, packed two-to-a-slot so each send
-     touches one cache line: [book.(2d)] is the (sender, round) token
-     stamped while marking the sender's CSR row — neighbor validation is
-     then one read instead of a [has_edge] binary search — and
-     [book.(2d+1)] the bits already sent to [d] this round, reset by the
-     same marking pass.  Marking work per round is O(Σ deg), the order
-     of the messages a full-rate round carries. *)
-  let book = Array.make (2 * max n 1) (-1) in
-  let token = ref 0 in
-  (* One closure for the whole run — allocating it per node-round would
-     show up in the perf guard. *)
-  let mark u =
-    book.(2 * u) <- !token;
-    book.((2 * u) + 1) <- 0
-  in
-  let round = ref 0 in
-  (* Metric totals are flushed once per run, not per send: three atomic
-     bumps per message would dominate the otherwise allocation-free send
-     path.  Every delivery succeeds here (no fault plans), so messages
-     and deliveries share one counter.  [edge_obs] likewise keeps the
-     running per-(edge, round) maximum out of the per-send path. *)
-  let sent = ref 0 in
-  let sent_bits = ref 0 in
-  let edge_obs = ref 0 in
-  let all_halted () =
-    let ok = ref true in
-    for v = 0 to n - 1 do
-      if not (instances.(v).Fastpath.fhalted ()) then ok := false
-    done;
-    !ok
-  in
-  (* Whatever escapes mid-round (a model violation or a program
-     exception) first observes the edge totals recorded so far, so a
-     [Light] prefix reads the [max_bits_per_edge_round] a [Full] one
-     re-derives.  One handler per run, outside the round loop. *)
-  (try
-     while !round < config.max_rounds && not (all_halted ()) do
-       Array.fill counts 0 (Array.length counts) 0;
-       stage_len := 0;
-       for v = 0 to n - 1 do
-         let inst = instances.(v) in
-         if not (inst.Fastpath.fhalted ()) then begin
-           (* [offs] holds the previous round's windows (all zero before the
-              first round, i.e. empty inboxes); re-aim the shared view since
-              the arena array may have been replaced by growth. *)
-           view.Fastpath.i_buf <- !arena;
-           view.Fastpath.i_off <- Array.unsafe_get offs v;
-           view.Fastpath.i_len <-
-             Array.unsafe_get offs (v + 1) - view.Fastpath.i_off;
-           em.Fastpath.e_len <- 0;
-           inst.Fastpath.fstep ~round:!round ~inbox:view em;
-           if em.Fastpath.e_len > 0 then begin
-             incr token;
-             Csr.iter_neighbors mark c v
-           end;
-           (* Unsafe reads/writes here are in range by construction: [k] is
-              below the emitter's grown length, and [dst] is range-checked
-              before indexing the n-sized bookkeeping arrays. *)
-           let e_dst = em.Fastpath.e_dst
-           and e_tag = em.Fastpath.e_tag
-           and e_bits = em.Fastpath.e_bits
-           and e_word = em.Fastpath.e_word in
-           for k = 0 to em.Fastpath.e_len - 1 do
-             let dst = Array.unsafe_get e_dst k in
-             if
-               dst < 0 || dst >= n
-               || Array.unsafe_get book (2 * dst) <> !token
-             then raise (Illegal_recipient { round = !round; src = v; dst });
-             let bits = Array.unsafe_get e_bits k in
-             let total = Array.unsafe_get book ((2 * dst) + 1) + bits in
-             if total > limit then
-               raise
-                 (Bandwidth_exceeded
-                    { round = !round; src = v; dst; bits = total; limit });
-             Array.unsafe_set book ((2 * dst) + 1) total;
-             if total > !edge_obs then edge_obs := total;
-             Trace.record_send trace ~round:!round ~src:v ~dst ~bits;
-             sent := !sent + 1;
-             sent_bits := !sent_bits + bits;
-             let base = 4 * !stage_len in
-             if base = Array.length !stage then
-               stage := Fastpath.grow4 !stage base;
-             let s = !stage in
-             Array.unsafe_set s base dst;
-             Array.unsafe_set s (base + 1) v;
-             Array.unsafe_set s (base + 2) (Array.unsafe_get e_tag k);
-             Array.unsafe_set s (base + 3) (Array.unsafe_get e_word k);
-             incr stage_len;
-             Array.unsafe_set counts dst (Array.unsafe_get counts dst + 1)
-           done
-         end
-       done;
-       (* Counting-sort scatter: prefix-sum the tallies into windows, then
-          group this round's triples by destination.  Staging order is
-          (src asc, emit order), so within each window delivery order is
-          exactly what per-node buffers produced. *)
-       let total = !stage_len in
-       let acc = ref 0 in
-       for v = 0 to n - 1 do
-         offs.(v) <- !acc;
-         cursor.(v) <- !acc;
-         acc := !acc + counts.(v)
-       done;
-       offs.(n) <- !acc;
-       if 3 * total > Array.length !arena then
-         arena := Array.make (max 24 (2 * (3 * total))) 0;
-       let a = !arena and s = !stage in
-       for i = 0 to total - 1 do
-         let q = 4 * i in
-         let dst = Array.unsafe_get s q in
-         let pos = Array.unsafe_get cursor dst in
-         Array.unsafe_set cursor dst (pos + 1);
-         let b = 3 * pos in
-         Array.unsafe_set a b (Array.unsafe_get s (q + 1));
-         Array.unsafe_set a (b + 1) (Array.unsafe_get s (q + 2));
-         Array.unsafe_set a (b + 2) (Array.unsafe_get s (q + 3))
-       done;
-       incr round
-     done
-   with e ->
-     let bt = Printexc.get_raw_backtrace () in
-     Trace.observe_edge_total trace !edge_obs;
-     Printexc.raise_with_backtrace e bt);
-  Trace.set_rounds trace !round;
-  Trace.observe_edge_total trace !edge_obs;
-  Obs.Metrics.add mx.m_rounds !round;
-  Obs.Metrics.add mx.m_messages !sent;
-  Obs.Metrics.add mx.m_bits !sent_bits;
-  Obs.Metrics.add mx.m_deliveries !sent;
-  Obs.Metrics.set g_arena_peak (Array.length !arena + Array.length !stage);
-  {
-    outputs = Array.map (fun inst -> inst.Fastpath.foutput ()) instances;
-    rounds_executed = !round;
-    all_halted = all_halted ();
-    crashed = Array.make n false;
-    trace;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Domain-sharded flat executor.
-
-   [run_flat_par] is [run_flat] with every per-node / per-destination
-   phase of the round partitioned across an [Exec.Pool] via
-   {!Exec.Pool.run_range}, arranged so the delivered inbox windows —
-   and therefore outputs, round counts and trace digests — are
-   byte-identical to the sequential executor at every pool width.  The
-   determinism argument (docs/PERF.md):
-
-   - node [v] always lives in the same chunk (run_range splits [0, n)
-     the same way every call), and every chunk owns private staging,
-     tallies, bandwidth book and emitter — no cross-domain writes;
-   - the merge assembles per-destination windows as
-     [offs.(d) + Σ_{s' < s} counts_{s'}(d)]: shard segments concatenate
-     in ascending shard = ascending source order, which is exactly the
-     (src asc, emit order) layout the sequential counting sort
-     produces;
-   - trace recording is replayed on the calling domain in ascending
-     shard order after the barrier (the Light digest is an
-     order-sensitive fold, so it cannot be parallelized — it is
-     re-folded from the staged quints instead), giving the identical
-     event sequence;
-   - spawning stays sequential: PRNG splitting is one master stream.
-
-   A round executes as four barriers: (1) stage — each shard steps its
-   nodes against the previous round's windows and stages
-   (dst, src, tag, word, bits) quints; (2) prefix pass A — each shard
-   of the destination range turns the per-shard tallies into
-   within-column prefixes and computes its chunk total, with the chunk
-   bases then prefix-summed sequentially (O(jobs)); (3) prefix pass B —
-   writes the global windows and lifts the within-column prefixes to
-   absolute write cursors; (4) scatter — each shard copies its staged
-   quints into its (disjoint) arena slots.
-
-   A chunk is never re-run (it mutates node state and PRNG streams in
-   place).  A model violation (oversend / non-neighbor) or an exception
-   raised by the program itself replays the trace prefix the sequential
-   executor would have recorded — every staged message of lower shards
-   plus the failing shard's prefix — before re-raising, so
-   [run_flat_par_checked]-style drivers see identical post-mortem
-   traces. *)
-
-(* Per-shard hot tallies are spread [shard_pad] ints apart so two
-   domains never bump the same cache line. *)
-let shard_pad = 8
-
-let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
-    (fp : 'out Fastpath.t) c =
-  (match config.faults with
-  | Some _ ->
-      invalid_arg "Runtime.run_flat_par: fault plans need the list-mode runtime"
-  | None -> ());
-  if config.mode = Broadcast then
-    invalid_arg
-      "Runtime.run_flat_par: Broadcast mode needs the list-mode runtime";
-  let trace = make_trace trace in
-  let n = Csr.n c in
-  let jobs = Exec.Pool.jobs pool in
-  (match alloc_probe with
-  | Some p when Array.length p < jobs ->
-      invalid_arg "Runtime.run_flat_par: alloc_probe shorter than pool width"
-  | _ -> ());
-  Obs.Metrics.set g_graph_words (Csr.resident_words c);
-  let limit = bandwidth_bits config ~n in
-  let mx = metrics_for fp.Fastpath.fname in
-  Obs.Metrics.inc mx.m_runs;
-  let master_rng = Stdx.Prng.create config.seed in
   let spawn v =
     let view =
       {
@@ -774,14 +589,30 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
      pass B would otherwise leave stale cursors in their count arrays
      that the next round's pass A mistakes for real tallies. *)
   let used = if q = 0 then r else jobs in
+  (* One phase over the node range: a chunk per shard across the pool,
+     or one direct call without a pool, which keeps sequential runs off
+     the pool's barrier counters. *)
+  let range f =
+    match pool with
+    | None -> f 0 n
+    | Some p -> Exec.Pool.run_range p ~lo:0 ~hi:n f
+  in
   (* Global delivery state: written only between barriers (arena
      replacement, offs.(n)) or in provably disjoint slots (pass B / the
-     scatter). *)
+     scatter).  [offs] holds the previous round's windows — all zero
+     before the first round, i.e. empty inboxes. *)
   let arena = ref [||] in
   let offs = Array.make (max n 1 + 1) 0 in
   let col = Array.make (max n 1) 0 in
-  (* Per-shard private state. *)
+  (* Per-shard private state.  [sh_bits] keeps the bit size of each send
+     staged by shards ≥ 1, for their recording after the barrier; shard 0
+     records inline and never fills its own.  In [sh_book], [2d] is the
+     (sender, round) token stamped while marking the sender's CSR row —
+     neighbor validation is then one read instead of a [has_edge] binary
+     search — and [2d+1] the bits already sent to [d] this round, reset
+     by the same marking pass. *)
   let sh_stage = Array.make jobs [||] in
+  let sh_bits = Array.make jobs [||] in
   let sh_counts = Array.init jobs (fun _ -> Array.make (max n 1) 0) in
   let sh_book = Array.init jobs (fun _ -> Array.make (2 * max n 1) (-1)) in
   let sh_view = Array.init jobs (fun _ -> Fastpath.make_inbox ()) in
@@ -794,8 +625,8 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
   let sh_failed = Array.make (jobs * shard_pad) 0 in
   let ct = Array.make (jobs * shard_pad) 0 in
   let cb = Array.make jobs 0 in
-  (* One mark closure per shard for the whole run, mirroring the
-     sequential executor's single [mark]. *)
+  (* One mark closure per shard for the whole run — allocating it per
+     node-round would show up in the perf guard. *)
   let sh_mark =
     Array.init jobs (fun s ->
         let book = sh_book.(s) in
@@ -805,88 +636,112 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
           Array.unsafe_set book ((2 * u) + 1) 0)
   in
   let round = ref 0 in
+  (* Metric totals are flushed once per run, not per send: three atomic
+     bumps per message would dominate the otherwise allocation-free send
+     path.  Every delivery succeeds here (no fault plans), so messages
+     and deliveries share one counter. *)
   let sent = ref 0 in
   let sent_bits = ref 0 in
-  (* Phase 1: step + stage.  Identical per-message semantics to the
-     sequential loop — validate against the shard's own book, then stage
-     — with the trace recording deferred to the post-barrier merge. *)
+  (* Phase 1: step + stage.  The chunk's tallies live in locals and are
+     written back once, at its end or on the way out of a raise, so the
+     per-message path touches only the book, the stage and the counts.
+     Unsafe reads/writes are in range by construction: [k] is below the
+     emitter's grown length, [dst] is range-checked before indexing the
+     n-sized bookkeeping arrays, and each stage write follows its grow
+     check. *)
   let stage_body clo chi s =
     let slot = s * shard_pad in
-    sh_len.(slot) <- 0;
-    sh_round_bits.(slot) <- 0;
-    sh_halted.(slot) <- 0;
-    sh_failed.(slot) <- 0;
     let counts = sh_counts.(s) in
     Array.fill counts 0 (Array.length counts) 0;
     let view = sh_view.(s) and em = sh_em.(s) in
     let mark = sh_mark.(s) and book = sh_book.(s) in
     let rnd = !round in
-    for v = clo to chi - 1 do
-      let inst = instances.(v) in
-      if inst.Fastpath.fhalted () then sh_halted.(slot) <- sh_halted.(slot) + 1
-      else begin
-        view.Fastpath.i_buf <- !arena;
-        view.Fastpath.i_off <- Array.unsafe_get offs v;
-        view.Fastpath.i_len <-
-          Array.unsafe_get offs (v + 1) - view.Fastpath.i_off;
-        em.Fastpath.e_len <- 0;
-        inst.Fastpath.fstep ~round:rnd ~inbox:view em;
-        if em.Fastpath.e_len > 0 then begin
-          sh_token.(slot) <- sh_token.(slot) + 1;
-          Csr.iter_neighbors mark c v
-        end;
-        let e_dst = em.Fastpath.e_dst
-        and e_tag = em.Fastpath.e_tag
-        and e_bits = em.Fastpath.e_bits
-        and e_word = em.Fastpath.e_word in
-        for k = 0 to em.Fastpath.e_len - 1 do
-          let dst = Array.unsafe_get e_dst k in
-          if
-            dst < 0 || dst >= n
-            || Array.unsafe_get book (2 * dst) <> sh_token.(slot)
-          then raise (Illegal_recipient { round = rnd; src = v; dst });
-          let bits = Array.unsafe_get e_bits k in
-          let total = Array.unsafe_get book ((2 * dst) + 1) + bits in
-          if total > limit then
-            raise
-              (Bandwidth_exceeded
-                 { round = rnd; src = v; dst; bits = total; limit });
-          Array.unsafe_set book ((2 * dst) + 1) total;
-          if total > sh_edge_obs.(slot) then sh_edge_obs.(slot) <- total;
-          let base = 5 * sh_len.(slot) in
-          if base = Array.length sh_stage.(s) then
-            sh_stage.(s) <- Fastpath.grow5 sh_stage.(s) base;
-          let st = sh_stage.(s) in
-          Array.unsafe_set st base dst;
-          Array.unsafe_set st (base + 1) v;
-          Array.unsafe_set st (base + 2) (Array.unsafe_get e_tag k);
-          Array.unsafe_set st (base + 3) (Array.unsafe_get e_word k);
-          Array.unsafe_set st (base + 4) bits;
-          sh_len.(slot) <- sh_len.(slot) + 1;
-          sh_round_bits.(slot) <- sh_round_bits.(slot) + bits;
-          Array.unsafe_set counts dst (Array.unsafe_get counts dst + 1)
-        done;
-        if inst.Fastpath.fhalted () then
-          sh_halted.(slot) <- sh_halted.(slot) + 1
-      end
-    done
+    let len = ref 0 and round_bits = ref 0 and halted = ref 0 in
+    let edge_obs = ref sh_edge_obs.(slot) and tok = ref sh_token.(slot) in
+    let st = ref sh_stage.(s) and bt = ref sh_bits.(s) in
+    let failure =
+      match
+        for v = clo to chi - 1 do
+          let inst = instances.(v) in
+          if inst.Fastpath.fhalted () then incr halted
+          else begin
+            (* Re-aim the shard's view: the arena may have been replaced
+               by growth. *)
+            view.Fastpath.i_buf <- !arena;
+            view.Fastpath.i_off <- Array.unsafe_get offs v;
+            view.Fastpath.i_len <-
+              Array.unsafe_get offs (v + 1) - view.Fastpath.i_off;
+            em.Fastpath.e_len <- 0;
+            inst.Fastpath.fstep ~round:rnd ~inbox:view em;
+            if em.Fastpath.e_len > 0 then begin
+              incr tok;
+              Array.unsafe_set sh_token slot !tok;
+              Csr.iter_neighbors mark c v
+            end;
+            let e_dst = em.Fastpath.e_dst
+            and e_tag = em.Fastpath.e_tag
+            and e_bits = em.Fastpath.e_bits
+            and e_word = em.Fastpath.e_word in
+            for k = 0 to em.Fastpath.e_len - 1 do
+              let dst = Array.unsafe_get e_dst k in
+              if
+                dst < 0 || dst >= n
+                || Array.unsafe_get book (2 * dst) <> !tok
+              then raise (Illegal_recipient { round = rnd; src = v; dst });
+              let bits = Array.unsafe_get e_bits k in
+              let total = Array.unsafe_get book ((2 * dst) + 1) + bits in
+              if total > limit then
+                raise
+                  (Bandwidth_exceeded
+                     { round = rnd; src = v; dst; bits = total; limit });
+              Array.unsafe_set book ((2 * dst) + 1) total;
+              if total > !edge_obs then edge_obs := total;
+              if s = 0 then Trace.record_send trace ~round:rnd ~src:v ~dst ~bits
+              else begin
+                if !len = Array.length !bt then bt := grow_stage 1 !bt !len;
+                Array.unsafe_set !bt !len bits
+              end;
+              let base = 4 * !len in
+              if base = Array.length !st then st := grow_stage 4 !st base;
+              let a = !st in
+              Array.unsafe_set a base dst;
+              Array.unsafe_set a (base + 1) v;
+              Array.unsafe_set a (base + 2) (Array.unsafe_get e_tag k);
+              Array.unsafe_set a (base + 3) (Array.unsafe_get e_word k);
+              incr len;
+              round_bits := !round_bits + bits;
+              Array.unsafe_set counts dst (Array.unsafe_get counts dst + 1)
+            done;
+            if inst.Fastpath.fhalted () then incr halted
+          end
+        done
+      with
+      | () -> None
+      | exception e -> Some (e, Printexc.get_raw_backtrace ())
+    in
+    sh_stage.(s) <- !st;
+    sh_bits.(s) <- !bt;
+    sh_len.(slot) <- !len;
+    sh_round_bits.(slot) <- !round_bits;
+    sh_halted.(slot) <- !halted;
+    sh_edge_obs.(slot) <- !edge_obs;
+    match failure with
+    | None -> ()
+    | Some (e, bt) ->
+        (* Model violation (or a program bug): remember which shard, so
+           the caller can record the sequential trace prefix. *)
+        sh_failed.(slot) <- 1;
+        Printexc.raise_with_backtrace e bt
   in
   let f_stage clo chi =
-    if clo < chi then begin
+    if clo < chi then
       let s = shard_of clo in
-      let a0 =
-        match alloc_probe with None -> 0.0 | Some _ -> Gc.minor_words ()
-      in
-      (try stage_body clo chi s
-       with e ->
-         (* Model violation (or a program bug): remember which shard so
-            the caller can replay the sequential trace prefix. *)
-         sh_failed.(shard_pad * s) <- 1;
-         raise e);
       match alloc_probe with
-      | None -> ()
-      | Some p -> p.(s) <- p.(s) +. (Gc.minor_words () -. a0)
-    end
+      | None -> stage_body clo chi s
+      | Some p ->
+          let a0 = Gc.minor_words () in
+          stage_body clo chi s;
+          p.(s) <- p.(s) +. (Gc.minor_words () -. a0)
   in
   (* Phase 2 (pass A): over destination chunks — turn the per-shard
      per-dst tallies into within-column prefixes, leaving the column
@@ -926,29 +781,44 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
       done
     end
   in
-  (* Phase 4: scatter each shard's staged quints into its disjoint
-     arena slots ([sh_counts] now holds absolute write cursors). *)
+  (* Phase 4: scatter each shard's staged quads into its disjoint arena
+     slots ([sh_counts] now holds absolute write cursors).  Staging order
+     is (src asc, emit order), so within each window delivery order is
+     exactly what per-node buffers produced. *)
   let f_scatter clo chi =
     if clo < chi then begin
       let s = shard_of clo in
       let st = sh_stage.(s) and counts = sh_counts.(s) and a = !arena in
       for i = 0 to sh_len.(s * shard_pad) - 1 do
-        let b5 = 5 * i in
-        let dst = Array.unsafe_get st b5 in
+        let b4 = 4 * i in
+        let dst = Array.unsafe_get st b4 in
         let pos = Array.unsafe_get counts dst in
         Array.unsafe_set counts dst (pos + 1);
         let b3 = 3 * pos in
-        Array.unsafe_set a b3 (Array.unsafe_get st (b5 + 1));
-        Array.unsafe_set a (b3 + 1) (Array.unsafe_get st (b5 + 2));
-        Array.unsafe_set a (b3 + 2) (Array.unsafe_get st (b5 + 3))
+        Array.unsafe_set a b3 (Array.unsafe_get st (b4 + 1));
+        Array.unsafe_set a (b3 + 1) (Array.unsafe_get st (b4 + 2));
+        Array.unsafe_set a (b3 + 2) (Array.unsafe_get st (b4 + 3))
       done
     end
+  in
+  (* Record the staged sends of shards 1 .. [upto], in ascending shard =
+     source order, as [round]'s events. *)
+  let record_staged upto =
+    let rnd = !round in
+    for s = 1 to upto do
+      let st = sh_stage.(s) and bt = sh_bits.(s) in
+      for i = 0 to sh_len.(s * shard_pad) - 1 do
+        let b = 4 * i in
+        Trace.record_send trace ~round:rnd ~src:(Array.unsafe_get st (b + 1))
+          ~dst:(Array.unsafe_get st b) ~bits:(Array.unsafe_get bt i)
+      done
+    done
   in
   (* Trace prefix of a round torn by a model violation: every staged
      message of shards below the (lowest) failing one, then the failing
      shard's own staged prefix — exactly what sequential execution had
      recorded when it raised. *)
-  let replay_violation_prefix () =
+  let record_violation_prefix () =
     let rec first_failed s =
       if s >= jobs then jobs
       else if sh_failed.(s * shard_pad) <> 0 then s
@@ -956,95 +826,71 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
     in
     let sf = first_failed 0 in
     if sf < jobs then begin
-      let rnd = !round in
+      (* Shard [s]'s running maximum covers exactly the sends it staged
+         — all of them below [sf], the failing shard's prefix at [sf]. *)
       for s = 0 to sf do
-        (* Shard [s]'s running maximum covers exactly the sends it staged
-           — all of them below [sf], the failing shard's prefix at [sf]. *)
-        Trace.observe_edge_total trace sh_edge_obs.(s * shard_pad);
-        let st = sh_stage.(s) in
-        for i = 0 to sh_len.(s * shard_pad) - 1 do
-          let b = 5 * i in
-          Trace.record_send trace ~round:rnd ~src:st.(b + 1) ~dst:st.(b)
-            ~bits:st.(b + 4)
-        done
-      done
+        Trace.observe_edge_total trace sh_edge_obs.(s * shard_pad)
+      done;
+      record_staged sf
     end
   in
-  let seq_all_halted () =
-    let ok = ref true in
-    for v = 0 to n - 1 do
-      if not (instances.(v).Fastpath.fhalted ()) then ok := false
-    done;
-    !ok
-  in
-  (* Post-round halted totals come from the shard tallies; before the
-     first round there are none, so scan once. *)
-  let halted_sum = ref (-1) in
-  let all_halted_now () =
-    if !halted_sum < 0 then seq_all_halted () else !halted_sum = n
+  (* Halted nodes: one scan before the first round, then the shard
+     tallies of each round. *)
+  let halted_sum =
+    ref
+      (Array.fold_left
+         (fun k inst -> if inst.Fastpath.fhalted () then k + 1 else k)
+         0 instances)
   in
   (* Largest per-(round, edge) total over the completed rounds: a torn
-     round adds only what its replayed prefix recorded. *)
+     round adds only what its recorded prefix covers. *)
   let edge_obs = ref 0 in
-  while !round < config.max_rounds && not (all_halted_now ()) do
-    (match Exec.Pool.run_range pool ~lo:0 ~hi:n f_stage with
+  while !round < config.max_rounds && !halted_sum < n do
+    (match range f_stage with
     | () -> ()
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        replay_violation_prefix ();
+        record_violation_prefix ();
         Trace.observe_edge_total trace !edge_obs;
         Printexc.raise_with_backtrace e bt);
-    (* Sequential merge on the calling domain, ascending shard = source
-       order: the trace sees the identical event sequence the
-       sequential executor records. *)
-    let rnd = !round in
-    if Trace.per_send_required trace then
-      for s = 0 to jobs - 1 do
-        let st = sh_stage.(s) in
-        for i = 0 to sh_len.(s * shard_pad) - 1 do
-          let b = 5 * i in
-          Trace.record_send trace ~round:rnd ~src:(Array.unsafe_get st (b + 1))
-            ~dst:(Array.unsafe_get st b)
-            ~bits:(Array.unsafe_get st (b + 4))
-        done
-      done
+    let msgs = ref 0 and bits = ref 0 and halted = ref 0 in
+    for s = 0 to jobs - 1 do
+      msgs := !msgs + sh_len.(s * shard_pad);
+      bits := !bits + sh_round_bits.(s * shard_pad);
+      halted := !halted + sh_halted.(s * shard_pad);
+      if sh_edge_obs.(s * shard_pad) > !edge_obs then
+        edge_obs := sh_edge_obs.(s * shard_pad)
+    done;
+    sent := !sent + !msgs;
+    sent_bits := !sent_bits + !bits;
+    halted_sum := !halted;
+    if Trace.per_send_required trace then record_staged (jobs - 1)
     else begin
-      let cnt = ref 0 and bits = ref 0 in
-      for s = 0 to jobs - 1 do
-        cnt := !cnt + sh_len.(s * shard_pad);
-        bits := !bits + sh_round_bits.(s * shard_pad)
-      done;
-      Trace.record_send_bulk trace ~round:rnd ~count:!cnt ~bits:!bits;
-      if !cnt > 0 then begin
-        (* The Light digest is an order-sensitive fold — the one part of
-           the round that is inherently sequential.  Re-fold it from the
-           staged quints in a tight loop. *)
+      (* Shard 0's sends are already recorded. *)
+      let count = !msgs - sh_len.(0) in
+      if count > 0 then begin
+        let rnd = !round in
+        Trace.record_send_bulk trace ~round:rnd ~count
+          ~bits:(!bits - sh_round_bits.(0));
+        (* Re-fold the order-sensitive Light digest from the staged
+           quads in a tight loop. *)
         let h = ref (Trace.send_digest_state trace) in
-        for s = 0 to jobs - 1 do
-          let st = sh_stage.(s) in
+        for s = 1 to jobs - 1 do
+          let st = sh_stage.(s) and bt = sh_bits.(s) in
           for i = 0 to sh_len.(s * shard_pad) - 1 do
-            let b = 5 * i in
+            let b = 4 * i in
             h :=
               Trace.send_mix ~h:!h ~round:rnd
                 ~src:(Array.unsafe_get st (b + 1))
                 ~dst:(Array.unsafe_get st b)
-                ~bits:(Array.unsafe_get st (b + 4))
+                ~bits:(Array.unsafe_get bt i)
           done
         done;
         Trace.set_send_digest_state trace !h
       end
     end;
-    let halted = ref 0 in
-    for s = 0 to jobs - 1 do
-      sent := !sent + sh_len.(s * shard_pad);
-      sent_bits := !sent_bits + sh_round_bits.(s * shard_pad);
-      halted := !halted + sh_halted.(s * shard_pad);
-      if sh_edge_obs.(s * shard_pad) > !edge_obs then
-        edge_obs := sh_edge_obs.(s * shard_pad)
-    done;
-    halted_sum := !halted;
-    (* Two-pass prefix-sum merge with an O(jobs) sequential seam. *)
-    Exec.Pool.run_range pool ~lo:0 ~hi:n f_pass_a;
+    (* Two-pass prefix-sum merge with an O(shards) sequential seam. *)
+    range f_pass_a;
     let accb = ref 0 in
     for s = 0 to jobs - 1 do
       cb.(s) <- !accb;
@@ -1054,8 +900,8 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
     offs.(n) <- total;
     if 3 * total > Array.length !arena then
       arena := Array.make (max 24 (2 * (3 * total))) 0;
-    Exec.Pool.run_range pool ~lo:0 ~hi:n f_pass_b;
-    Exec.Pool.run_range pool ~lo:0 ~hi:n f_scatter;
+    range f_pass_b;
+    range f_scatter;
     incr round
   done;
   Trace.set_rounds trace !round;
@@ -1064,17 +910,25 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
   Obs.Metrics.add mx.m_messages !sent;
   Obs.Metrics.add mx.m_bits !sent_bits;
   Obs.Metrics.add mx.m_deliveries !sent;
-  let stage_words =
-    Array.fold_left (fun acc a -> acc + Array.length a) 0 sh_stage
-  in
-  Obs.Metrics.set g_arena_peak (Array.length !arena + stage_words);
+  let words = Array.fold_left (fun acc a -> acc + Array.length a) in
+  Obs.Metrics.set g_arena_peak
+    (Array.length !arena + words 0 sh_stage + words 0 sh_bits);
   {
     outputs = Array.map (fun inst -> inst.Fastpath.foutput ()) instances;
     rounds_executed = !round;
-    all_halted = all_halted_now ();
+    all_halted = !halted_sum = n;
     crashed = Array.make n false;
     trace;
   }
+
+let run_flat ?(config = default_config) ?trace (fp : 'out Fastpath.t) c =
+  flat ~who:"run_flat" ~config ~trace:(make_trace trace) fp c
+
+let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
+    (fp : 'out Fastpath.t) c =
+  flat ~who:"run_flat_par" ~pool ?alloc_probe ~config ~trace:(make_trace trace)
+    fp c
+
 
 let run_flat_checked ?(config = default_config) ?trace (fp : 'out Fastpath.t)
     c =

@@ -19,7 +19,9 @@
     (docs/PERF.md describes the arena lifecycle).  Identical graphs
     produce identical executions — same outputs, same trace digests —
     whichever representation carries them.  {!run_flat} executes the
-    allocation-free {!Fastpath} program form for large-n sweeps. *)
+    allocation-free {!Fastpath} program form for large-n sweeps, and
+    {!run_flat_par} runs the same round loop sharded across a domain
+    pool. *)
 
 exception Bandwidth_exceeded of { round : int; src : int; dst : int; bits : int; limit : int }
 exception Illegal_recipient of { round : int; src : int; dst : int }
@@ -134,7 +136,11 @@ val run_flat :
     records per round (test/test_perf_guard.ml pins the per-round
     allocation ceiling).  Spawn order and PRNG splitting match the
     list-mode executors, so faithful flat ports are output-identical.
-    Raises [Invalid_argument] if [config.faults] is set or
+
+    This is the one flat round loop run as a single shard on the calling
+    domain: the phases of {!run_flat_par} are direct calls over the
+    whole node range, with no pool and no barrier.  Raises
+    [Invalid_argument] if [config.faults] is set or
     [config.mode = Broadcast] — adversarial runs keep to the list-mode
     executor. *)
 
@@ -146,24 +152,26 @@ val run_flat_par :
   'out Fastpath.t ->
   Wgraph.Csr.t ->
   'out result
-(** {!run_flat} sharded across the domains of [pool] (docs/PERF.md):
-    every per-node and per-destination phase of the round runs as an
-    {!Exec.Pool.run_range} barrier over private per-shard staging
-    arenas and tallies, merged by a two-pass prefix sum into the same
-    delivery-arena layout the sequential counting sort produces.
-    Outputs, round counts, recorded traces and digests are
-    byte-identical to {!run_flat} at every pool width, cold or warm
+(** The same round loop sharded across the domains of [pool]
+    (docs/PERF.md): every per-node and per-destination phase of the
+    round runs as an {!Exec.Pool.run_range} barrier over private
+    per-shard staging arenas and tallies, merged by a two-pass prefix
+    sum into one delivery arena.  Outputs, round counts, recorded traces
+    and digests are byte-identical to {!run_flat} — and to {!run_csr} of
+    the list-mode original — at every pool width, cold or warm
     (test/test_csr.ml pins this differentially at jobs ∈ {1, 2, 3, 8}).
 
-    Spawning, trace recording and the O(jobs) prefix seam stay on the
-    calling domain; per-run [congest_*] metric totals are merged from
-    per-shard tallies at the end of the run, and the
-    [runtime_arena_peak_words] / [graph_resident_words] gauges record
-    the memory footprint.
+    Spawning and the O(jobs) prefix seam stay on the calling domain.
+    Shard 0 records its sends into the trace inline as it stages them;
+    the sends of shards ≥ 1 are recorded on the calling domain after the
+    stage barrier, in ascending shard order.  Per-run [congest_*] metric
+    totals are merged from per-shard tallies at the end of the run, and
+    the [runtime_arena_peak_words] / [graph_resident_words] gauges
+    record the memory footprint.
 
     A shard is never re-run — shard bodies mutate node state and PRNG
     streams in place.  Model violations and exceptions raised by the
-    program itself escape exactly as from {!run_flat}, after replaying
+    program itself escape exactly as from {!run_flat}, after recording
     the identical trace prefix.
 
     [alloc_probe] (a test hook; length ≥ pool width) accumulates, per

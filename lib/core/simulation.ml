@@ -136,11 +136,12 @@ let decide_disjointness_checked ?(config = Runtime.default_config)
     | Flat | Flat_par _ ->
         let fp = Congest.Algo_gather.exact_maxis_flat ~m in
         let c = Wgraph.Csr.of_graph g in
-        ( fp.Congest.Fastpath.fname,
+        let run =
           match engine with
-          | Flat_par pool ->
-              Runtime.run_flat_par_checked ~config ~trace ~pool fp c
-          | _ -> Runtime.run_flat_checked ~config ~trace fp c )
+          | Flat_par pool -> Runtime.run_flat_par_checked ~pool
+          | _ -> Runtime.run_flat_checked
+        in
+        (fp.Congest.Fastpath.fname, run ~config ~trace fp c)
   in
   match checked with
   | Error failure -> Error (Runtime_failure failure)

@@ -213,46 +213,56 @@ let luby_parity =
       run_all_three Congest.Algo_luby.mis Congest.Fastpath.luby_mis g)
 
 (* ------------------------------------------------------------------ *)
-(* Domain-sharded executor parity: run_flat_par = run_flat at every
-   pool width, cold and warm, Full and Light traces. *)
+(* Flat-engine parity at every shard count: [run_flat] (one shard, no
+   pool) and [run_flat_par] at every pool width, cold and warm, Full and
+   Light traces, all against the list-mode [run_csr] of the original
+   program — an executor that shares no round loop with them. *)
 
 let par_pools =
   lazy (List.map (fun jobs -> Exec.Pool.create ~jobs ()) [ 1; 2; 3; 8 ])
 
-let run_par_matches (type a) (fp : a Congest.Fastpath.t) g =
+let run_par_matches (type a) (prog : a Congest.Program.t)
+    (fp : a Congest.Fastpath.t) g =
   let c = Csr.of_graph g in
-  let seq = Congest.Runtime.run_flat fp c in
-  let seq_light_digest =
-    let tr = Congest.Trace.create ~mode:Congest.Trace.Light () in
-    let r = Congest.Runtime.run_flat ~trace:tr fp c in
-    Congest.Trace.digest r.Congest.Runtime.trace
+  let reference = Congest.Runtime.run_csr prog c in
+  let light_digest run =
+    let trace = Congest.Trace.create ~mode:Congest.Trace.Light () in
+    Congest.Trace.digest (run ~trace).Congest.Runtime.trace
   in
-  let same (a : a Congest.Runtime.result) (b : a Congest.Runtime.result) =
-    a.Congest.Runtime.outputs = b.Congest.Runtime.outputs
-    && a.Congest.Runtime.rounds_executed = b.Congest.Runtime.rounds_executed
-    && a.Congest.Runtime.all_halted = b.Congest.Runtime.all_halted
-    && trace_summary a.Congest.Runtime.trace
+  let ref_light_digest =
+    light_digest (fun ~trace -> Congest.Runtime.run_csr ~trace prog c)
+  in
+  let same (b : a Congest.Runtime.result) =
+    reference.Congest.Runtime.outputs = b.Congest.Runtime.outputs
+    && reference.Congest.Runtime.rounds_executed
+       = b.Congest.Runtime.rounds_executed
+    && reference.Congest.Runtime.all_halted = b.Congest.Runtime.all_halted
+    && trace_summary reference.Congest.Runtime.trace
        = trace_summary b.Congest.Runtime.trace
   in
-  List.for_all
-    (fun pool ->
-      let cold = Congest.Runtime.run_flat_par ~pool fp c in
-      (* Warm: same pool, buffers of the previous run already grown. *)
-      let warm = Congest.Runtime.run_flat_par ~pool fp c in
-      let light =
-        let tr = Congest.Trace.create ~mode:Congest.Trace.Light () in
-        let r = Congest.Runtime.run_flat_par ~trace:tr ~pool fp c in
-        Congest.Trace.digest r.Congest.Runtime.trace
-      in
-      same seq cold && same seq warm && light = seq_light_digest)
-    (Lazy.force par_pools)
+  same (Congest.Runtime.run_flat fp c)
+  && light_digest (fun ~trace -> Congest.Runtime.run_flat ~trace fp c)
+     = ref_light_digest
+  && List.for_all
+       (fun pool ->
+         let cold = Congest.Runtime.run_flat_par ~pool fp c in
+         (* Warm: same pool, buffers of the previous run already grown. *)
+         let warm = Congest.Runtime.run_flat_par ~pool fp c in
+         same cold && same warm
+         && light_digest (fun ~trace ->
+                Congest.Runtime.run_flat_par ~trace ~pool fp c)
+            = ref_light_digest)
+       (Lazy.force par_pools)
 
 let flood_par_parity =
   QCheck.Test.make ~name:"flood: run_flat_par = run_flat, jobs in {1,2,3,8}"
     ~count:30
     QCheck.(pair small_int small_int)
     (fun (seed, nn) ->
-      run_par_matches (Congest.Fastpath.max_id ~rounds:12) (random_graph seed nn))
+      run_par_matches
+        (Congest.Algo_flood.max_id ~rounds:12)
+        (Congest.Fastpath.max_id ~rounds:12)
+        (random_graph seed nn))
 
 let bfs_par_parity =
   QCheck.Test.make ~name:"bfs: run_flat_par = run_flat, jobs in {1,2,3,8}"
@@ -260,6 +270,7 @@ let bfs_par_parity =
     QCheck.(pair small_int small_int)
     (fun (seed, nn) ->
       run_par_matches
+        (Congest.Algo_bfs.distances ~root:0 ~rounds:12)
         (Congest.Fastpath.bfs_distances ~root:0 ~rounds:12)
         (random_graph seed nn))
 
@@ -268,7 +279,9 @@ let luby_par_parity =
     ~name:"luby: run_flat_par = run_flat (incl. PRNG draws), jobs in {1,2,3,8}"
     ~count:30
     QCheck.(pair small_int small_int)
-    (fun (seed, nn) -> run_par_matches Congest.Fastpath.luby_mis (random_graph seed nn))
+    (fun (seed, nn) ->
+      run_par_matches Congest.Algo_luby.mis Congest.Fastpath.luby_mis
+        (random_graph seed nn))
 
 let test_par_rejects () =
   let g = Build.path 4 in
@@ -355,9 +368,10 @@ let test_flat_rejects () =
   with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Model violations on the flat executors: every engine and width
-   reports the same failure with the same trace prefix, and a Light
-   prefix agrees with the Full one on every streamed aggregate. *)
+(* Model violations on the flat executor: without a pool and at every
+   pool width it reports the same failure with the same trace prefix,
+   pinned in closed form, and a Light prefix agrees with the Full one on
+   every streamed aggregate. *)
 
 (* Two rounds of 1-bit traffic on every edge; then, in round 2, node
    [bad] sends [limit - 1] bits to its first neighbor and breaks the
@@ -430,6 +444,13 @@ let test_flat_violation violation () =
     | `Non_neighbor -> Non_neighbor { dst = bad + 4 });
   let module T = Congest.Trace in
   let ref_tr = reference.trace_prefix in
+  (* The prefix in closed form: rounds 0 and 1 put 1 bit on each of the
+     16 directed edges, then round 2 holds the 2-bit sends of nodes
+     below [bad] and [bad]'s own (limit - 1)-bit one — 36 messages,
+     32 + 6 + (limit - 1) bits, 3 rounds. *)
+  check_int "prefix messages" 36 (T.total_messages ref_tr);
+  check_int "prefix bits" (37 + limit) (T.total_bits ref_tr);
+  check_int "prefix rounds" 3 (T.rounds ref_tr);
   check_int "prefix edge max" (limit - 1) (T.max_bits_per_edge_round ref_tr);
   List.iter2
     (fun (name, f) (_, lf) ->
