@@ -464,7 +464,15 @@ let simulate_cmd =
         "simulate: --drop and --corrupt must be probabilities in [0,1]@.";
       exit 2
     end;
-    if engine <> `List && (drop > 0.0 || corrupt > 0.0) then begin
+    let faulty = drop > 0.0 || corrupt > 0.0 in
+    (* Without --engine: the flat engine, sharded when --jobs asks for
+       more than one domain, and list mode when a fault plan needs it. *)
+    let engine =
+      match engine with
+      | Some e -> e
+      | None -> if faulty then `List else if jobs > 1 then `Flat_par else `Flat
+    in
+    if engine <> `List && faulty then begin
       Format.eprintf
         "simulate: --engine=%s rejects fault injection (--drop/--corrupt \
          need --engine=list)@."
@@ -546,15 +554,18 @@ let simulate_cmd =
     Arg.(
       value
       & opt
-          (enum [ ("list", `List); ("flat", `Flat); ("flat-par", `Flat_par) ])
-          `List
+          (some
+             (enum [ ("list", `List); ("flat", `Flat); ("flat-par", `Flat_par) ]))
+          None
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
             "Executor for the gather protocol: $(b,list) (historical \
              per-message allocation), $(b,flat) (zero-allocation CSR \
              runtime), or $(b,flat-par) (flat runtime sharded across \
              $(b,--jobs) domains).  All engines print byte-identical \
-             reports; fault injection requires $(b,list).")
+             reports; fault injection requires $(b,list).  Default: \
+             $(b,flat), or $(b,flat-par) when $(b,--jobs) is above 1, or \
+             $(b,list) when $(b,--drop) or $(b,--corrupt) is given.")
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run the Theorem-5 simulation on an instance.")

@@ -4,10 +4,21 @@ module Graph = Wgraph.Graph
    append-only log of the facts it knows and a per-neighbor cursor; each
    round it sends each neighbor the next fact that neighbor hasn't been
    sent.  A fact is a triple (kind, a, b): kind 0 = edge {a, b} (a < b),
-   kind 1 = weight of node a is b. *)
+   kind 1 = weight of node a is b.
 
-type fact = Edge of int * int | Weight of int * int
+   Both programs key a node's fact set on [pack]: kind at bit 3·idw, then
+   a (idw bits), then b (2·idw bits).  It is injective on every triple
+   the message widths admit, so it stays exact on corrupted facts too: a
+   fault flip keeps each field inside its width, though ids can then
+   exceed n - 1 and edges can arrive with a > b. *)
 
+let pack ~idw ~kind ~a ~b =
+  if a < 0 || a lsr idw <> 0 || b < 0 || b lsr (2 * idw) <> 0 then
+    invalid_arg "Algo_gather.pack: fact field too wide";
+  (kind lsl (3 * idw)) lor (a lsl (2 * idw)) lor b
+
+(* The log holds each fact's message, built once and resent to every
+   neighbor. *)
 let gather ~m ~solve =
   {
     Program.name = "gather-topology";
@@ -17,19 +28,22 @@ let gather ~m ~solve =
         let idw = Msg.id_width ~n in
         let weight_width = 2 * idw in
         let widths = (1, idw, weight_width) in
-        let known : (fact, unit) Hashtbl.t = Hashtbl.create 64 in
-        let log : fact Stdx.Dynvec.t = Stdx.Dynvec.create () in
-        let learn f =
-          if not (Hashtbl.mem known f) then begin
-            Hashtbl.replace known f ();
-            Stdx.Dynvec.push log f
+        let known : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+        let log : Msg.t Stdx.Dynvec.t = Stdx.Dynvec.create () in
+        let learn kind a b msg =
+          let k = pack ~idw ~kind ~a ~b in
+          if not (Hashtbl.mem known k) then begin
+            Hashtbl.replace known k ();
+            Stdx.Dynvec.push log msg
           end
         in
-        learn (Weight (view.Program.id, view.Program.weight));
+        let learn_own kind a b =
+          learn kind a b (Msg.triple_msg ~widths (kind, a, b))
+        in
+        let id = view.Program.id in
+        learn_own 1 id view.Program.weight;
         Array.iter
-          (fun nb ->
-            learn
-              (Edge (min view.Program.id nb, max view.Program.id nb)))
+          (fun nb -> learn_own 0 (min id nb) (max id nb))
           view.Program.neighbors;
         let deg = Array.length view.Program.neighbors in
         let cursor = Array.make deg 0 in
@@ -41,38 +55,33 @@ let gather ~m ~solve =
         in
         let halted = ref false in
         let result = ref None in
+        (* Facts apply in the order they were learned. *)
         let reconstruct () =
           let g = Graph.create n in
-          Hashtbl.iter
-            (fun f () ->
-              match f with
-              | Edge (u, v) -> Graph.add_edge g u v
-              | Weight (v, w) -> Graph.set_weight g v w)
-            known;
+          Stdx.Dynvec.iter
+            (fun (msg : Msg.t) ->
+              match msg.Msg.payload with
+              | Msg.Triple (0, u, v) -> Graph.add_edge g u v
+              | Msg.Triple (_, v, w) -> Graph.set_weight g v w
+              | _ -> assert false)
+            log;
           g
-        in
-        let msg_of_fact = function
-          | Edge (u, v) -> Msg.triple_msg ~widths (0, u, v)
-          | Weight (v, w) -> Msg.triple_msg ~widths (1, v, w)
-        in
-        let fact_of_msg (m : Msg.t) =
-          match m.Msg.payload with
-          | Msg.Triple (0, u, v) -> Some (Edge (u, v))
-          | Msg.Triple (1, v, w) -> Some (Weight (v, w))
-          | _ -> None
         in
         {
           Program.step =
             (fun ~round:_ ~inbox ->
               List.iter
-                (fun (_, m) ->
-                  match fact_of_msg m with Some f -> learn f | None -> ())
+                (fun (_, (msg : Msg.t)) ->
+                  match msg.Msg.payload with
+                  | Msg.Triple ((0 | 1) as kind, a, b) ->
+                      learn kind a b msg
+                  | _ -> ())
                 inbox;
               let outbox = ref [] in
               Array.iteri
                 (fun i nb ->
                   if cursor.(i) < Stdx.Dynvec.length log then begin
-                    outbox := (nb, msg_of_fact (Stdx.Dynvec.get log cursor.(i))) :: !outbox;
+                    outbox := (nb, Stdx.Dynvec.get log cursor.(i)) :: !outbox;
                     cursor.(i) <- cursor.(i) + 1
                   end)
                 view.Program.neighbors;
@@ -89,8 +98,7 @@ let gather ~m ~solve =
 let exact_maxis ~m = gather ~m ~solve:(fun g -> (Mis.Exact.solve g).Mis.Exact.weight)
 
 (* Flat port, for the flat executor at any shard count.  Facts travel as
-   one packed int — kind at bit 3·idw, then a (idw bits), then b
-   (2·idw bits) — under [Fastpath.tag_int], with the same 1 + 3·idw bit
+   one [pack]ed int under [Fastpath.tag_int], with the same 1 + 3·idw bit
    charge as the list-mode [Msg.triple_msg].  Per-round message counts, round counts
    and outputs are order-independent (a node's log grows by the set of
    new facts, and cursors advance one fact per neighbor per round), so
@@ -109,11 +117,6 @@ let gather_flat ~m ~solve =
         let bshift = 2 * idw in
         let bmask = (1 lsl bshift) - 1 in
         let amask = (1 lsl idw) - 1 in
-        let pack ~kind ~a ~b =
-          if b < 0 || b > bmask || a < 0 || a > amask then
-            invalid_arg "Algo_gather.gather_flat: fact field too wide";
-          (kind lsl (3 * idw)) lor (a lsl bshift) lor b
-        in
         let known : (int, unit) Hashtbl.t = Hashtbl.create 64 in
         let log : int Stdx.Dynvec.t = Stdx.Dynvec.create () in
         let learn f =
@@ -122,11 +125,11 @@ let gather_flat ~m ~solve =
             Stdx.Dynvec.push log f
           end
         in
-        learn (pack ~kind:1 ~a:view.Program.id ~b:view.Program.weight);
+        learn (pack ~idw ~kind:1 ~a:view.Program.id ~b:view.Program.weight);
         Array.iter
           (fun nb ->
             learn
-              (pack ~kind:0
+              (pack ~idw ~kind:0
                  ~a:(min view.Program.id nb)
                  ~b:(max view.Program.id nb)))
           view.Program.neighbors;

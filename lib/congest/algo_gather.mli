@@ -22,7 +22,13 @@ val gather : m:int -> solve:(Wgraph.Graph.t -> 'out) -> 'out Program.t
     all [m] edges and has forwarded every fact to every neighbor; its
     output is [solve g] on the reconstructed graph.  Weights must fit in
     [2·⌈log n⌉] bits.  Completes in [O(m + D)] rounds on connected
-    graphs. *)
+    graphs.
+
+    A node's fact set is keyed on the fact packed at the message widths,
+    so it stays exact under corruption, which keeps every field inside
+    its width.  The graph is rebuilt from the facts in the order the
+    node learned them; a corrupted fact that names no valid edge or node
+    makes the rebuild raise [Invalid_argument]. *)
 
 val exact_maxis : m:int -> int Program.t
 (** [gather] composed with the exact solver: output is OPT, the

@@ -12,17 +12,18 @@ type 'out outcome = {
   internal_bits : int;
 }
 
-(* One player: the region's node set and the live node instances it
-   simulates.  All state of region Vⁱ lives here; the only inter-player
-   channel is the blackboard (plus the typed side-queue that decodes the
-   written messages — the board carries the accounted bits). *)
+(* One player: the live node instances of its region, ascending by node.
+   All state of region Vⁱ lives here; the only inter-player channel is the
+   blackboard (plus the typed side-queue that decodes the written
+   messages — the board carries the accounted bits). *)
 type 'out player = {
   player_id : int;
-  nodes : int list;  (** ascending *)
   instances : (int * 'out Program.instance) list;
 }
 
 type pending = { src : int; dst : int; msg : Msg.t }
+
+let by_sender (a, _) (b, _) = compare (a : int) b
 
 let run ?(config = Runtime.default_config) (program : 'out Program.t)
     (inst : Family.instance) =
@@ -66,7 +67,6 @@ let run ?(config = Runtime.default_config) (program : 'out Program.t)
         let nodes = Wgraph.Cut.part_nodes part p in
         {
           player_id = p;
-          nodes;
           instances = List.map (fun v -> (v, instance_of v)) nodes;
         })
   in
@@ -77,7 +77,12 @@ let run ?(config = Runtime.default_config) (program : 'out Program.t)
   let inboxes : (int * Msg.t) list array = Array.make n [] in
   let next_inboxes : (int * Msg.t) list array = Array.make n [] in
   let cross_queue : pending Stdx.Dynvec.t = Stdx.Dynvec.create () in
-  let sent_this_round : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
+  (* Bits sent so far on the directed edge (src, dst) this round:
+     [bw_used.(dst)] is live for the stepping node while stamped with its
+     token. *)
+  let bw_used = Array.make n 0 in
+  let bw_stamp = Array.make n (-1) in
+  let token = ref 0 in
   let round = ref 0 in
   let all_halted () =
     Array.for_all
@@ -85,9 +90,9 @@ let run ?(config = Runtime.default_config) (program : 'out Program.t)
       all_instances
   in
   while !round < config.Runtime.max_rounds && not (all_halted ()) do
-    Hashtbl.reset sent_this_round;
     Array.fill next_inboxes 0 n [];
     Stdx.Dynvec.clear cross_queue;
+    let tag = Printf.sprintf "round-%d" !round in
     (* Each player steps its own nodes; internal messages are delivered
        privately, cross-region messages are written on the board. *)
     List.iter
@@ -112,23 +117,23 @@ let run ?(config = Runtime.default_config) (program : 'out Program.t)
                               (Runtime.Non_uniform_broadcast
                                  { round = !round; src = v }))
                         rest));
+              incr token;
               List.iter
                 (fun (dst, (m : Msg.t)) ->
                   if not (Graph.has_edge g v dst) then
                     raise
                       (Runtime.Illegal_recipient
                          { round = !round; src = v; dst });
-                  let key = (v, dst) in
-                  let total =
-                    m.Msg.bits
-                    + Option.value ~default:0
-                        (Hashtbl.find_opt sent_this_round key)
-                  in
+                  if bw_stamp.(dst) <> !token then begin
+                    bw_stamp.(dst) <- !token;
+                    bw_used.(dst) <- 0
+                  end;
+                  let total = bw_used.(dst) + m.Msg.bits in
                   if total > limit then
                     raise
                       (Runtime.Bandwidth_exceeded
                          { round = !round; src = v; dst; bits = total; limit });
-                  Hashtbl.replace sent_this_round key total;
+                  bw_used.(dst) <- total;
                   if part.(dst) = player.player_id then begin
                     (* Internal: player i simulates both endpoints. *)
                     internal_bits := !internal_bits + m.Msg.bits;
@@ -139,9 +144,7 @@ let run ?(config = Runtime.default_config) (program : 'out Program.t)
                        encodes the directed edge; bits account the message
                        itself, as in the proof. *)
                     Blackboard.write board ~author:player.player_id
-                      ~bits:m.Msg.bits
-                      ~tag:(Printf.sprintf "round-%d" !round)
-                      ((v * n) + dst);
+                      ~bits:m.Msg.bits ~tag ((v * n) + dst);
                     Stdx.Dynvec.push cross_queue { src = v; dst; msg = m }
                   end)
                 outbox
@@ -155,8 +158,7 @@ let run ?(config = Runtime.default_config) (program : 'out Program.t)
         next_inboxes.(dst) <- (src, msg) :: next_inboxes.(dst))
       cross_queue;
     for v = 0 to n - 1 do
-      inboxes.(v) <-
-        List.sort (fun (a, _) (b, _) -> compare a b) next_inboxes.(v)
+      inboxes.(v) <- List.stable_sort by_sender next_inboxes.(v)
     done;
     incr round
   done;

@@ -15,7 +15,15 @@
     Bit accounting matches the paper's: each blackboard write declares the
     message's own size ([O(log n)] bits); the edge addressing is part of
     the fixed protocol structure (players enumerate cut edges in a globally
-    known order), so it costs no transcript bits. *)
+    known order), so it costs no transcript bits.
+
+    The module is self-contained: it shares the node programs and the
+    exception types with {!Congest.Runtime}, never its executors or its
+    message arena.  Its per-message bookkeeping is O(1): a stamped
+    per-recipient bandwidth tally and one ["round-%d"] tag per round.
+    Neither is visible to the protocol — the board entries are those a
+    per-edge table produces — and each node's inbox is still stably
+    sorted by sender. *)
 
 type 'out outcome = {
   outputs : 'out option array;  (** per node, as {!Congest.Runtime.run} *)

@@ -75,7 +75,15 @@ type engine =
     the same report fields — rounds, cut traffic and outputs are
     engine-independent (pinned by stdout parity in test/test_cli.ml) —
     the flat ones just get there without per-message allocation.  Fault
-    plans require [List_mode] (the flat executors reject them). *)
+    plans require [List_mode] (the flat executors reject them).
+
+    The library default stays [List_mode]: it is the engine every fault
+    plan and every program without a flat port runs on, and the tests'
+    parity oracle.  The workflows pick the flat engine themselves:
+    {!Verification.run}'s trace-metered reduction runs [Flat], or
+    [Flat_par] on its pool when the pool is wider than one, and
+    [maxis_lb simulate] without [--engine] runs [flat] ([flat-par] when
+    [--jobs] > 1, [list] under [--drop]/[--corrupt]). *)
 
 type decision = {
   report : report;

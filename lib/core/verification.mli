@@ -6,7 +6,10 @@
     from both promise sides, Corollary 2 / Claim 4 on random index tuples,
     both Definition-4 conditions (condition 1 differentially), and — when
     the formal gap separates — the full Theorem-5 reduction through both
-    simulator implementations, cross-checked against each other.
+    simulator implementations, cross-checked against each other: the
+    trace-metered {!Simulation} on the flat engine ([Flat_par] on the
+    pool when it is wider than one, [Flat] otherwise) and the literal
+    {!Player_sim} protocol.
 
     Every check is returned as an [item]; the list is the audit trail. *)
 
@@ -42,10 +45,11 @@ val run :
     as [Fail] items.
 
     With [~pool] the exact-solve-heavy claim checks fan out across the
-    pool; with [~cache] their results (and Property 3's) are read and
-    written through the given {!Exec.Cache}.  Input generation always
-    consumes the PRNG in the same order, so the returned items are
-    identical for every pool width and cache state.
+    pool (and the Theorem-5 trace-metered run is sharded across it when
+    it is wider than one); with [~cache] the claim results (and
+    Property 3's) are read and written through the given {!Exec.Cache}.
+    Input generation always consumes the PRNG in the same order, so the
+    returned items are identical for every pool width and cache state.
 
     With a finite [~budget] each claim solve runs under it; a solve that
     exhausts still decides its claim when the certified interval clears

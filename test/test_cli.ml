@@ -127,27 +127,24 @@ let test_bench_metrics_parity () =
 
 let sim_base = "simulate --players 2 --ell 3"
 
+(* The stdout of a run that must exit 0. *)
+let stdout_of args =
+  let out = Filename.temp_file "cli" ".out" in
+  check_int ("exit status: " ^ args) 0
+    (run_capture (Printf.sprintf "%s %s" (Filename.quote exe) args) out);
+  let s = slurp out in
+  Sys.remove out;
+  s
+
+(* Without --engine, simulate runs flat (flat-par when --jobs > 1); every
+   variant must print the list engine's bytes. *)
 let test_engine_stdout_parity () =
-  let out_list = Filename.temp_file "sim_list" ".out" in
-  let out_flat = Filename.temp_file "sim_flat" ".out" in
-  let out_fpar = Filename.temp_file "sim_fpar" ".out" in
-  let cmd engine out =
-    run_capture
-      (Printf.sprintf "%s %s --engine=%s" (Filename.quote exe) sim_base engine)
-      out
-  in
-  check_int "list engine" 0 (cmd "list" out_list);
-  check_int "flat engine" 0 (cmd "flat" out_flat);
-  check_int "flat-par engine" 0
-    (run_capture
-       (Printf.sprintf "%s %s --engine=flat-par --jobs 3" (Filename.quote exe)
-          sim_base)
-       out_fpar);
-  Alcotest.(check string)
-    "flat stdout = list stdout" (slurp out_list) (slurp out_flat);
-  Alcotest.(check string)
-    "flat-par stdout = list stdout" (slurp out_list) (slurp out_fpar);
-  List.iter Sys.remove [ out_list; out_flat; out_fpar ]
+  let list = stdout_of (sim_base ^ " --engine=list") in
+  List.iter
+    (fun extra ->
+      Alcotest.(check string) ("stdout = list stdout:" ^ extra) list
+        (stdout_of (sim_base ^ extra)))
+    [ " --engine=flat"; " --engine=flat-par --jobs 3"; ""; " --jobs 2" ]
 
 let test_engine_rejects_faults () =
   check_int "flat + --drop is a usage error" 2
@@ -155,6 +152,17 @@ let test_engine_rejects_faults () =
   check_int "flat-par + --corrupt is a usage error" 2
     (run (sim_base ^ " --engine=flat-par --corrupt 0.1"));
   check_int "list + --drop still runs" 0 (run (sim_base ^ " --drop 0.01"))
+
+(* ------------------------------------------------------------------ *)
+(* verify's Theorem-5 items run on the verify pool (the flat engine,
+   sharded when the pool is wider than one): stdout must not depend on
+   the width. *)
+
+let test_verify_jobs_parity () =
+  Alcotest.(check string)
+    "verify stdout at --jobs 3 = --jobs 1"
+    (stdout_of (base ^ " --jobs 1"))
+    (stdout_of (base ^ " --jobs 3"))
 
 (* ------------------------------------------------------------------ *)
 (* Verification.exit_code precedence *)
@@ -199,6 +207,11 @@ let () =
             test_engine_stdout_parity;
           Alcotest.test_case "flat engines reject faults" `Quick
             test_engine_rejects_faults;
+        ] );
+      ( "verify-parity",
+        [
+          Alcotest.test_case "stdout at --jobs 1 and 3" `Quick
+            test_verify_jobs_parity;
         ] );
       ( "exit-code-unit",
         [ Alcotest.test_case "precedence" `Quick test_exit_code_unit ] );

@@ -251,6 +251,32 @@ let test_streamed_report_under_faults () =
   check "delivered differs from attempted" true
     (r.Simulation.blackboard_bits_delivered <> r.Simulation.blackboard_bits)
 
+(* List-mode gather under a corrupting link plan, pinned to recorded
+   values.  A corrupted fact keeps each field inside its declared width,
+   but ids can exceed n-1 and edges can arrive with a > b, so the node's
+   fact set must stay injective on those too: a fact key that merged two
+   of them (kind·n² + a·n + b does) would change which facts flood, and
+   with it the digest.  At this rate no node completes within the round
+   cap. *)
+let test_gather_under_corruption_pinned () =
+  let p = P.make ~alpha:1 ~ell:3 ~players:2 in
+  let inst, _ = instance 5 p ~intersecting:true in
+  let g = inst.Family.graph in
+  let m = Wgraph.Graph.edge_count g in
+  let plan =
+    Congest.Faults.plan ~default:(Congest.Faults.link ~corrupt:0.05 ()) 1
+  in
+  let config =
+    { Runtime.default_config with Runtime.faults = Some plan; max_rounds = 300 }
+  in
+  let r = Runtime.run ~config (Congest.Algo_gather.exact_maxis ~m) g in
+  check "no node completed" true
+    (Array.for_all Option.is_none r.Runtime.outputs);
+  check_int "rounds" 300 r.Runtime.rounds_executed;
+  check_int "faults" 8868 (Trace.total_faults r.Runtime.trace);
+  Alcotest.(check int64)
+    "digest" 5455598828271805388L (Trace.digest r.Runtime.trace)
+
 (* [simulate] returns its trace, so that trace must still answer the
    log-shaped queries with the values a default trace gives. *)
 let test_simulate_keeps_send_log () =
@@ -321,34 +347,41 @@ let test_simulation_on_quadratic_instance () =
 
 module Player_sim = Maxis_core.Player_sim
 
+(* Player_sim against the monolithic runtime: same outputs, rounds and
+   halting; board bits, board writes and internal bits equal the trace's
+   cut bits, cut messages and the rest of its traffic. *)
+let check_referee : type o.
+    string -> o Congest.Program.t -> Family.instance -> unit =
+ fun name program inst ->
+  let mono = Runtime.run program inst.Family.graph in
+  let multi = Player_sim.run program inst in
+  let cut = Congest.Trace.cut_bits mono.Runtime.trace inst.Family.partition in
+  check (name ^ " outputs equal") true
+    (mono.Runtime.outputs = multi.Player_sim.outputs);
+  check_int (name ^ " rounds equal") mono.Runtime.rounds_executed
+    multi.Player_sim.rounds;
+  check (name ^ " halting equal") mono.Runtime.all_halted
+    multi.Player_sim.all_halted;
+  check_int (name ^ " board bits = trace cut bits") cut
+    (Commcx.Blackboard.bits_written multi.Player_sim.board);
+  check_int (name ^ " internal bits = total - cut")
+    (Congest.Trace.total_bits mono.Runtime.trace - cut)
+    multi.Player_sim.internal_bits;
+  check_int (name ^ " one write per cut message")
+    (Congest.Trace.cut_messages mono.Runtime.trace inst.Family.partition)
+    (Commcx.Blackboard.writes multi.Player_sim.board)
+
+(* The library programs, each refereed on [inst]. *)
+let check_referee_programs inst =
+  let n = Wgraph.Graph.n inst.Family.graph in
+  let m = Wgraph.Graph.edge_count inst.Family.graph in
+  check_referee "flood" (Congest.Algo_flood.max_id ~rounds:n) inst;
+  check_referee "luby" Congest.Algo_luby.mis inst;
+  check_referee "greedy" Congest.Algo_greedy_mis.mis inst;
+  check_referee "gather" (Congest.Algo_gather.exact_maxis ~m) inst
+
 let test_player_sim_matches_runtime () =
-  let inst, _ = instance 23 p3 ~intersecting:true in
-  let g = inst.Family.graph in
-  let n = Wgraph.Graph.n g in
-  let m = Wgraph.Graph.edge_count g in
-  let check_program : type o. o Congest.Program.t -> unit =
-   fun program ->
-    let mono = Runtime.run program g in
-    let multi = Player_sim.run program inst in
-    check (program.Congest.Program.name ^ " outputs equal") true
-      (mono.Runtime.outputs = multi.Player_sim.outputs);
-    check_int
-      (program.Congest.Program.name ^ " rounds equal")
-      mono.Runtime.rounds_executed multi.Player_sim.rounds;
-    check_int
-      (program.Congest.Program.name ^ " board bits = trace cut bits")
-      (Congest.Trace.cut_bits mono.Runtime.trace inst.Family.partition)
-      (Commcx.Blackboard.bits_written multi.Player_sim.board);
-    check_int
-      (program.Congest.Program.name ^ " internal + cross = total")
-      (Congest.Trace.total_bits mono.Runtime.trace)
-      (multi.Player_sim.internal_bits
-      + Commcx.Blackboard.bits_written multi.Player_sim.board)
-  in
-  check_program (Congest.Algo_flood.max_id ~rounds:n);
-  check_program Congest.Algo_luby.mis;
-  check_program Congest.Algo_greedy_mis.mis;
-  check_program (Congest.Algo_gather.exact_maxis ~m)
+  check_referee_programs (fst (instance 23 p3 ~intersecting:true))
 
 let test_player_sim_decides () =
   List.iter
@@ -377,6 +410,143 @@ let test_player_sim_all_players_write () =
   let outcome = Player_sim.run (Congest.Algo_gather.exact_maxis ~m) inst in
   check_int "three authors" 3
     (List.length (Commcx.Blackboard.bits_by_author outcome.Player_sim.board))
+
+(* Referee cases the gadget families never produce: a partition that
+   interleaves the players over node ids (so the players step nodes out of
+   id order), a program whose inbox order is observable, and the model
+   violations, whose exception payloads must name the same round, sender,
+   recipient and bit counts as the monolithic runtime's. *)
+
+(* A 10-node graph: a cycle plus chords, with distinct weights. *)
+let interleaved_instance () =
+  let n = 10 in
+  let g = Wgraph.Graph.create n in
+  for v = 0 to n - 1 do
+    Wgraph.Graph.add_edge g v ((v + 1) mod n);
+    Wgraph.Graph.set_weight g v (1 + ((7 * v) mod 11))
+  done;
+  List.iter
+    (fun (u, v) -> Wgraph.Graph.add_edge g u v)
+    [ (0, 5); (1, 7); (2, 6); (3, 9); (4, 8) ];
+  {
+    Family.graph = g;
+    partition = [| 2; 0; 1; 0; 2; 1; 1; 0; 2; 0 |];
+    params = p3_small;
+  }
+
+let test_player_sim_interleaved_partition () =
+  check_referee_programs (interleaved_instance ())
+
+(* Every node sends each neighbour two messages per round and records its
+   inbox exactly as delivered, so the output pins the order of same-sender
+   ties as well as the order across senders. *)
+let double_send ~rounds =
+  {
+    Congest.Program.name = "double-send";
+    spawn =
+      (fun view ->
+        let seen = ref [] in
+        let halted = ref false in
+        {
+          Congest.Program.step =
+            (fun ~round ~inbox ->
+              List.iter
+                (fun (src, (m : Congest.Msg.t)) ->
+                  match m.Congest.Msg.payload with
+                  | Congest.Msg.Int x -> seen := (src, x) :: !seen
+                  | _ -> ())
+                inbox;
+              if round >= rounds then begin
+                halted := true;
+                []
+              end
+              else
+                Array.fold_right
+                  (fun nb acc ->
+                    let tagged k =
+                      let x = (2 * (round mod 4)) + k in
+                      (nb, Congest.Msg.int_msg ~width:4 x)
+                    in
+                    tagged 0 :: tagged 1 :: acc)
+                  view.Congest.Program.neighbors []);
+          halted = (fun () -> !halted);
+          output = (fun () -> Some (List.rev !seen));
+        });
+  }
+
+let test_player_sim_inbox_ties () =
+  let inst = interleaved_instance () in
+  check_referee "double-send" (double_send ~rounds:4) inst;
+  let linear, _ = instance 61 p3_small ~intersecting:true in
+  check_referee "double-send (linear)" (double_send ~rounds:3) linear
+
+(* Runs [program] both ways and returns the exception each raised. *)
+let raised program inst =
+  let catch f = match f () with _ -> None | exception e -> Some e in
+  ( catch (fun () -> Runtime.run program inst.Family.graph),
+    catch (fun () -> Player_sim.run program inst) )
+
+(* Node [culprit] misbehaves once, at round 2, by [misstep]; every other
+   send is a legal 1-bit ping to each neighbour. *)
+let misbehaving ~culprit misstep =
+  {
+    Congest.Program.name = "misbehaving";
+    spawn =
+      (fun view ->
+        let halted = ref false in
+        {
+          Congest.Program.step =
+            (fun ~round ~inbox:_ ->
+              if round >= 4 then begin
+                halted := true;
+                []
+              end
+              else
+                let pings =
+                  Array.to_list
+                    (Array.map
+                       (fun nb -> (nb, Congest.Msg.unit_msg))
+                       view.Congest.Program.neighbors)
+                in
+                if round = 2 && view.Congest.Program.id = culprit then
+                  pings @ misstep view
+                else pings);
+          halted = (fun () -> !halted);
+          output = (fun () -> None);
+        });
+  }
+
+let test_player_sim_violations () =
+  let inst = interleaved_instance () in
+  let n = Wgraph.Graph.n inst.Family.graph in
+  let limit = Runtime.bandwidth_bits Runtime.default_config ~n in
+  (* Node 6 (player 1) oversends to node 2 (player 1, internal) and to
+     node 7 (player 0, cross): the first overflowing send is the one
+     reported. *)
+  List.iter
+    (fun dst ->
+      let oversend _ = [ (dst, Congest.Msg.int_msg ~width:limit 0) ] in
+      match raised (misbehaving ~culprit:6 oversend) inst with
+      | ( Some (Runtime.Bandwidth_exceeded a),
+          Some (Runtime.Bandwidth_exceeded b) ) ->
+          check_int "round" a.round b.round;
+          check_int "src" a.src b.src;
+          check_int "dst" a.dst b.dst;
+          check_int "bits" a.bits b.bits;
+          check_int "limit" a.limit b.limit;
+          check_int "reported dst" dst b.dst;
+          check_int "reported bits" (limit + 1) b.bits
+      | _ -> Alcotest.failf "oversend to %d: expected Bandwidth_exceeded twice" dst)
+    [ 2; 7 ];
+  (* Node 4 (player 2) sends to non-neighbour 0. *)
+  let stray _ = [ (0, Congest.Msg.unit_msg) ] in
+  match raised (misbehaving ~culprit:4 stray) inst with
+  | Some (Runtime.Illegal_recipient a), Some (Runtime.Illegal_recipient b) ->
+      check_int "round" a.round b.round;
+      check_int "src" a.src b.src;
+      check_int "dst" a.dst b.dst;
+      check_int "reported" 2 b.round
+  | _ -> Alcotest.fail "stray send: expected Illegal_recipient twice"
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -435,12 +605,19 @@ let () =
             test_streamed_report_under_faults;
           Alcotest.test_case "simulate keeps the send log" `Quick
             test_simulate_keeps_send_log;
+          Alcotest.test_case "list gather, corrupt plan" `Quick
+            test_gather_under_corruption_pinned;
         ] );
       ( "player-protocol",
         [
           Alcotest.test_case "matches runtime" `Quick test_player_sim_matches_runtime;
           Alcotest.test_case "decides" `Quick test_player_sim_decides;
           Alcotest.test_case "all players write" `Quick test_player_sim_all_players_write;
+          Alcotest.test_case "interleaved partition" `Quick
+            test_player_sim_interleaved_partition;
+          Alcotest.test_case "inbox ties" `Quick test_player_sim_inbox_ties;
+          Alcotest.test_case "violations match runtime" `Quick
+            test_player_sim_violations;
         ] );
       qsuite "simulation-props"
         [ prop_all_algorithms_within_bound; prop_player_sim_equivalence ];
